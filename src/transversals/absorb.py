@@ -28,8 +28,8 @@ from .hypergraph import (
     Hypergraph,
     all_d_sets,
     induced,
+    mask_of,
     min_degree_d,
-    neighbour_sets,
 )
 from .links import EmbeddedChain, Link, build_chain_template, chain_counts
 from .matching import maximum_bipartite_matching
@@ -117,7 +117,9 @@ def build_matching_absorber(
     Each attempt matches the left side into a random ordering of the rights,
     drops ell matched rights to form B0, takes the leftover rights (highest
     availability first) as B1, and then verifies; rights implicated in a
-    failed check are evicted from B1 and the check restarts."""
+    failed check are evicted from B1 and the check restarts.  `alpha` (the
+    paper's availability fraction) is not read: verification gates the
+    result instead."""
     if ell < 0 or ell > K.m_A:
         raise InvalidInput("need 0 <= ell <= m_A")
     for i, row in enumerate(K.adjacency):
@@ -125,11 +127,6 @@ def build_matching_absorber(
             raise InfeasibleDegrees(
                 f"left item {i} has availability {len(row)} < ell + 1 = {ell + 1}"
             )
-    if K.m_A > 0:
-        min_deg = min(len(row) for row in K.adjacency)
-        if min_deg < alpha * K.n_B:
-            # soft precondition at desk scale; verification still gates the result
-            pass
     for attempt in range(retries):
         rng = rng_for(seed, "matching-absorber", attempt)
         order = list(range(K.n_B))
@@ -259,14 +256,11 @@ def _degree_into(H: Hypergraph, S: Edge, part: set[int]) -> int:
 def _partition_audit(C: Collection, parts, d: int, frac: float) -> bool:
     k = C.k
     if k == 2 and d == 1:
+        audited = [(mask_of(part), frac * len(part)) for part in parts if frac * len(part) > 0]
         for H in C.members:
-            nbrs = neighbour_sets(H)
-            for part in parts:
-                need = frac * len(part)
-                if need <= 0:
-                    continue
-                part_set = set(part)
-                if any(len(nbrs[v] & part_set) < need for v in range(C.n)):
+            adj = H.adjacency
+            for part_mask, need in audited:
+                if any((nbrs & part_mask).bit_count() < need for nbrs in adj):
                     return False
         return True
     for H in C.members:
@@ -346,13 +340,13 @@ def _place_rainbow_copy(
         by_last[max(e)].append(e)
     assignment = [-1] * body.n
     in_use: set[int] = set()
-    union = C.union_edges()
+    union = C.colour_masks  # union edge -> colour bitset
 
     def colourable(hosts: list[Edge]) -> Optional[list[int]]:
-        adj = [
-            [j for j, c in enumerate(block) if h in C.members[c].edges]
-            for h in hosts
-        ]
+        adj = []
+        for h in hosts:
+            mask = union.get(h, 0)
+            adj.append([j for j, c in enumerate(block) if mask >> c & 1])
         match = maximum_bipartite_matching(adj, len(block))
         if any(v == -1 for v in match):
             return None

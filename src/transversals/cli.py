@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .collection import Collection, TransversalCertificate, verify_certificate
-from .errors import TransversalsError
+from .errors import InvalidInput, TransversalsError
 from .exact import EXHAUSTED, FOUND, NONE, SearchBudget, find_transversal_cycle
 from .gen import GenSpec, generate
 from .links import builtin_link, cycle_counts
@@ -41,9 +41,17 @@ def _digest(C: Collection) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _load_collection(path: str) -> Collection:
+def _load_json(path: str, parse):
+    """parse(json.load(file)), with malformed content reported as InvalidInput."""
     with open(path, encoding="utf-8") as fh:
-        return Collection.from_json(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
+            raise InvalidInput(f"{path}: malformed input: {exc!r}") from exc
+
+
+def _load_collection(path: str) -> Collection:
+    return _load_json(path, Collection.from_json)
 
 
 def cmd_gen(args) -> int:
@@ -108,8 +116,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     C = _load_collection(getattr(args, "in"))
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = TransversalCertificate.from_json(json.load(fh), C.n, C.k)
+    cert = _load_json(args.cert, lambda obj: TransversalCertificate.from_json(obj, C.n, C.k))
     link = builtin_link(args.link) if args.link else None
     n = C.n if link is not None else None
     result = verify_certificate(C, cert, link, n)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidInput
-from .hypergraph import Edge, Hypergraph, min_degree_d, neighbour_sets
+from .hypergraph import Edge, Hypergraph, bits, mask_of, min_degree_d
 from .links import Link, cycle_on
 from .matching import maximum_bipartite_matching
 
@@ -17,11 +19,15 @@ EDGE_NOT_IN_COLOUR = "EdgeNotInColour"
 NOT_SPANNING = "NotSpanning"
 NOT_CYCLE_SHAPE = "NotCycleShape"
 COLOUR_OUT_OF_RANGE = "ColourOutOfRange"
+PHI_DOMAIN_MISMATCH = "PhiDomainMismatch"
 
 
 @dataclass(frozen=True)
 class Collection:
-    """Indexed sequence of k-uniform hypergraphs on a shared vertex set."""
+    """Indexed sequence of k-uniform hypergraphs on a shared vertex set.
+
+    The edge -> colours index (`colour_masks`) is built on first use and kept
+    for the object's life; construction does not pay for it."""
 
     n: int
     k: int
@@ -36,15 +42,22 @@ class Collection:
     def m(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def colour_masks(self) -> Mapping[Edge, int]:
+        """Read-only map from each union edge to its colour bitset: bit i is
+        set when member i contains the edge."""
+        masks: dict[Edge, int] = {}
+        for i, H in enumerate(self.members):
+            bit = 1 << i
+            for e in H.edges:
+                masks[e] = masks.get(e, 0) | bit
+        return MappingProxyType(masks)
+
     def union_edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for H in self.members:
-            out |= H.edges
-        return frozenset(out)
+        return frozenset(self.colour_masks)
 
     def colours_of(self, edge: Sequence[int]) -> list[int]:
-        e = tuple(sorted(edge))
-        return [i for i, H in enumerate(self.members) if e in H.edges]
+        return list(bits(self.colour_masks.get(tuple(sorted(edge)), 0)))
 
     def to_json(self) -> dict:
         return {
@@ -108,15 +121,18 @@ def threshold_hypergraph(C: Collection, colours: Iterable[int], theta: int) -> H
         raise InvalidInput("colour set must be nonempty")
     if not 0 <= theta <= len(cols):
         raise InvalidInput(f"theta={theta} outside [0, {len(cols)}]")
+    if cols[0] < 0 or cols[-1] >= C.m:
+        raise InvalidInput("colours out of range")
     if theta == 0:
         return Hypergraph(
             C.n, C.k, frozenset(itertools.combinations(range(C.n), C.k))
         )
-    counts: dict[Edge, int] = {}
-    for i in cols:
-        for e in C.members[i].edges:
-            counts[e] = counts.get(e, 0) + 1
-    return Hypergraph(C.n, C.k, frozenset(e for e, c in counts.items() if c >= theta))
+    sel = mask_of(cols)
+    return Hypergraph(
+        C.n,
+        C.k,
+        frozenset(e for e, mask in C.colour_masks.items() if (mask & sel).bit_count() >= theta),
+    )
 
 
 def induced_collection(C: Collection, U: Iterable[int]) -> tuple[Collection, list[int]]:
@@ -145,8 +161,17 @@ def verify_certificate(
     link: Optional[Link] = None,
     n: Optional[int] = None,
 ) -> VerifyResult:
-    """Check injectivity and colour membership; optionally check that the
-    target is a spanning A-cycle for the expected link."""
+    """Check that phi colours each target edge exactly once, injectively and
+    from a member containing it; optionally check that the target is a
+    spanning A-cycle for the expected link."""
+    phi_edges = [edge for edge, _ in cert.phi]
+    if len(phi_edges) != len(cert.target.edges) or set(phi_edges) != cert.target.edges:
+        return VerifyResult(
+            False,
+            PHI_DOMAIN_MISMATCH,
+            f"phi colours {len(set(phi_edges))} distinct edges in {len(phi_edges)} entries; "
+            f"the target has {cert.target.num_edges}",
+        )
     seen: set[int] = set()
     for edge, colour in cert.phi:
         if colour in seen:
@@ -185,14 +210,14 @@ def is_cycle_copy(target: Hypergraph, link: Link) -> bool:
 def _is_hamilton_cycle_graph(target: Hypergraph) -> bool:
     if target.num_edges != target.n or target.n < 3:
         return False
-    adj = neighbour_sets(target)
-    if any(len(nb) != 2 for nb in adj):
+    adj = target.adjacency
+    if any(nb.bit_count() != 2 for nb in adj):
         return False
     # 2-regular and connected => a single cycle
     seen = {0}
     prev, cur = None, 0
     while True:
-        nxt = [v for v in adj[cur] if v != prev]
+        nxt = [v for v in bits(adj[cur]) if v != prev]
         if not nxt:
             return False
         prev, cur = cur, nxt[0]
@@ -252,11 +277,10 @@ def rainbow_colouring(
     if any(not 0 <= c < C.m for c in cols):
         raise InvalidInput("allowed colours out of range")
     edges = target.sorted_edges()
-    col_index = {c: j for j, c in enumerate(cols)}
-    adj = [
-        [col_index[c] for c in cols if e in C.members[c].edges]
-        for e in edges
-    ]
+    adj = []
+    for e in edges:
+        mask = C.colour_masks.get(e, 0)
+        adj.append([j for j, c in enumerate(cols) if mask >> c & 1])
     match = maximum_bipartite_matching(adj, len(cols))
     if any(v == -1 for v in match):
         return None

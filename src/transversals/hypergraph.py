@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidHypergraph, InvalidInput
@@ -23,6 +24,8 @@ class Hypergraph:
 
     Invariants: every edge is a strictly increasing k-tuple of vertices in
     range, and there are no duplicate edges (guaranteed by the frozenset).
+    Derived views (`adjacency`) are built on first use and kept for the
+    object's life; construction does not pay for them.
     """
 
     n: int
@@ -54,6 +57,18 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Per-vertex neighbour bitmasks of a 2-uniform hypergraph: bit u of
+        adjacency[v] is set when uv is an edge."""
+        if self.k != 2:
+            raise InvalidInput("adjacency requires a 2-uniform hypergraph")
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
 
     def has_edge(self, edge: Sequence[int]) -> bool:
         return tuple(sorted(edge)) in self.edges
@@ -107,6 +122,8 @@ def min_degree_d(H: Hypergraph, d: int) -> int:
         raise InvalidInput(f"d={d} outside [1, {H.k - 1}]")
     if H.n < d:
         raise InvalidInput(f"n={H.n} smaller than d={d}")
+    if H.k == 2:
+        return min(nbrs.bit_count() for nbrs in H.adjacency)
     counts: dict[Edge, int] = {}
     for e in H.edges:
         for s in itertools.combinations(e, d):
@@ -153,14 +170,26 @@ def cycle_graph(n: int) -> Hypergraph:
 
 
 def neighbour_sets(H: Hypergraph) -> list[set[int]]:
-    """Per-vertex neighbourhoods for k=2 graphs (fast path used by the solvers)."""
+    """Per-vertex neighbourhoods of a k=2 graph, as sets (a view of `H.adjacency`)."""
     if H.k != 2:
         raise InvalidInput("neighbour_sets requires a 2-uniform hypergraph")
-    adj: list[set[int]] = [set() for _ in range(H.n)]
-    for u, v in H.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+    return [set(bits(nbrs)) for nbrs in H.adjacency]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative int, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitset with exactly the given positions set."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def all_d_sets(n: int, d: int) -> Iterator[Edge]:

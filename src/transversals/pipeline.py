@@ -41,7 +41,7 @@ from .errors import (
     PartitionFailed,
 )
 from .exact import find_embedding
-from .hypergraph import Edge, Hypergraph, neighbour_sets
+from .hypergraph import Edge, Hypergraph, bits
 from .links import Link, cycle_counts
 from .rng import rng_for, split
 
@@ -131,8 +131,8 @@ def _con_bfs(
     """Shortest u-w path of length <= c with interior inside interior_pool."""
     if c < 1:
         return None
-    nbrs = neighbour_sets(K)
-    if w in nbrs[u]:
+    adj = K.adjacency
+    if adj[u] >> w & 1:
         return [u, w]
     frontier = deque([(u, [u])])
     seen = {u}
@@ -140,7 +140,7 @@ def _con_bfs(
         v, path = frontier.popleft()
         if len(path) > c:
             continue
-        for x in sorted(nbrs[v]):
+        for x in bits(adj[v]):
             if x == w and len(path) <= c:
                 return path + [w]
             if x in interior_pool and x not in seen and len(path) < c:
@@ -324,12 +324,10 @@ def _attempt(
     gadgets = [
         (s2_path[2 * i], s2_path[2 * i + 1]) for i in range(len(s2_path) // 2)
     ]
-    nbrs_ab = neighbour_sets(K_ab)
+    # bit v of common[j] is set when v is adjacent to both ends of gadget j
+    common = [K_ab.adjacency[a] & K_ab.adjacency[b] for a, b in gadgets]
     outside = [v for v in range(n) if v not in set(s1) and v not in set(s2_block)]
-    coverage = {
-        v: sum(1 for a, b in gadgets if v in nbrs_ab[a] and v in nbrs_ab[b])
-        for v in outside
-    }
+    coverage = {v: sum(c >> v & 1 for c in common) for v in outside}
     capacity = min(coverage.values(), default=0)
     if capacity == 0 and outside:
         _fail(2, "vertex-absorber", "a vertex is covered by no gadget pair", pairs=len(gadgets))
@@ -363,8 +361,10 @@ def _attempt(
     }
     reserve = set(sorted(cset, key=lambda c: (-score[c], c))[:rho_n])
     pool_main = sorted(set(range(m)) - A - reserve)
-    assert n - len(s1) - len(s2_path) - len(r1_set) - len(r2_set) == n0
-    assert len(pool_main) == n0
+    if n - len(s1) - len(s2_path) - len(r1_set) - len(r2_set) != n0:
+        _fail(4, "balance", "vertex counts do not close on the tiling region", n0=n0)
+    if len(pool_main) != n0:
+        _fail(4, "balance", "main colour pool differs from the tiling region", main_pool=len(pool_main), n0=n0)
     records.append(
         StepRecord(
             4,
@@ -474,8 +474,8 @@ def _attempt(
         slot = next(
             (
                 j
-                for j, (a, b) in enumerate(gadgets)
-                if j not in splice_at and v in nbrs_ab[a] and v in nbrs_ab[b]
+                for j, both in enumerate(common)
+                if j not in splice_at and both >> v & 1
             ),
             None,
         )

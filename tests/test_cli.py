@@ -91,6 +91,29 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert main(["solve", "--in", str(tmp_path / "missing.json")]) == EXIT_USAGE
 
 
+def test_solve_non_json_input_exits_3(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text("not json at all")
+    assert main(["solve", "--in", str(inst)]) == EXIT_USAGE
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_solve_input_without_members_exits_3(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 3}))
+    assert main(["solve", "--in", str(inst)]) == EXIT_USAGE
+    assert "members" in capsys.readouterr().err
+
+
+def test_verify_malformed_certificate_exits_3(tmp_path, capsys):
+    inst = run_gen(tmp_path, "inst.json", "--family", "random", "--n", "8",
+                   "--delta", "0.7", "--seed", "4")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"edges": [[0, 1]]}))  # no "phi"
+    assert main(["verify", "--in", str(inst), "--cert", str(cert)]) == EXIT_USAGE
+    assert "malformed input" in capsys.readouterr().err
+
+
 def read_scan(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -66,6 +66,27 @@ def test_verify_rejects_duplicate_colour():
     assert not res and res.reason == "DuplicateColour"
 
 
+def test_verify_rejects_phi_domain_mismatch():
+    # built directly, past from_mapping: (0,5) is left uncoloured and (3,4)
+    # is coloured twice, yet the colours are distinct and every vertex covered
+    n = 6
+    C = all_complete(n, n)
+    target = cycle_graph(n)
+    phi = ((0, 1), (1, 2), (2, 3), (3, 4), (3, 4), (4, 5))
+    cert = TransversalCertificate(target, tuple((e, i) for i, e in enumerate(phi)))
+    res = verify_certificate(C, cert, single_edge_link(2, 1))
+    assert not res and res.reason == "PhiDomainMismatch"
+
+
+def test_verify_rejects_phi_missing_an_edge():
+    n = 6
+    C = all_complete(n, n)
+    target, cert = make_cycle_cert(n)
+    short = TransversalCertificate(target, cert.phi[:-1])
+    res = verify_certificate(C, short)
+    assert not res and res.reason == "PhiDomainMismatch"
+
+
 def test_verify_rejects_edge_outside_member():
     n = 4
     C = Collection(n, 2, tuple([cycle_graph(n)] * n))

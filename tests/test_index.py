@@ -1,0 +1,161 @@
+"""The cached bitset views (`Hypergraph.adjacency`, `Collection.colour_masks`)
+and every path routed through them, against brute-force references."""
+
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transversals.absorb import _partition_audit
+from transversals.collection import Collection, threshold_hypergraph
+from transversals.errors import InvalidInput
+from transversals.hypergraph import (
+    Hypergraph,
+    bits,
+    complete_graph,
+    complete_uniform,
+    cycle_graph,
+    mask_of,
+    min_degree_d,
+    neighbour_sets,
+)
+
+
+@st.composite
+def collections(draw, k):
+    n = draw(st.integers(k, 7))
+    m = draw(st.integers(1, 5))
+    k_sets = list(combinations(range(n), k))
+    members = []
+    for _ in range(m):
+        drawn = draw(st.sets(st.sampled_from(k_sets)))
+        # a drawn set is the member or, for dense members, its complement
+        edges = set(k_sets) - drawn if draw(st.booleans()) else drawn
+        members.append(Hypergraph(n, k, frozenset(edges)))
+    return Collection(n, k, tuple(members))
+
+
+def brute_min_degree(H, d):
+    return min(
+        sum(1 for e in H.edges if set(S) <= set(e))
+        for S in combinations(range(H.n), d)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(collections(2))
+def test_min_degree_k2_matches_brute_force(C):
+    for H in C.members:
+        assert min_degree_d(H, 1) == brute_min_degree(H, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(collections(3))
+def test_min_degree_k3_matches_brute_force(C):
+    for H in C.members:
+        for d in (1, 2):
+            assert min_degree_d(H, d) == brute_min_degree(H, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(collections(2))
+def test_adjacency_matches_edges(C):
+    for H in C.members:
+        as_sets = neighbour_sets(H)
+        for v, nbrs in enumerate(H.adjacency):
+            expected = {u for e in H.edges if v in e for u in e if u != v}
+            assert set(bits(nbrs)) == expected == as_sets[v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(collections(2), collections(3)), st.data())
+def test_threshold_hypergraph_matches_brute_force(C, data):
+    cols = data.draw(st.sets(st.integers(0, C.m - 1), min_size=1))
+    for theta in range(len(cols) + 1):
+        expected = {
+            e
+            for e in combinations(range(C.n), C.k)
+            if sum(e in C.members[c].edges for c in cols) >= theta
+        }
+        assert threshold_hypergraph(C, cols, theta).edges == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(collections(2), collections(3)))
+def test_colours_of_and_union_match_brute_force(C):
+    for e in combinations(range(C.n), C.k):
+        assert C.colours_of(e) == [i for i, H in enumerate(C.members) if e in H.edges]
+        assert C.colours_of(tuple(reversed(e))) == C.colours_of(e)
+    assert C.union_edges() == frozenset().union(*(H.edges for H in C.members))
+
+
+def brute_partition_audit(C, parts, frac):
+    for H in C.members:
+        for part in parts:
+            need = frac * len(part)
+            if need <= 0:
+                continue
+            for v in range(C.n):
+                into = sum(1 for u in part if tuple(sorted((u, v))) in H.edges)
+                if into < need:
+                    return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(collections(2), st.data())
+def test_partition_audit_k2_matches_brute_force(C, data):
+    perm = data.draw(st.permutations(range(C.n)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, C.n), max_size=3)))
+    bounds = [0] + cuts + [C.n]
+    parts = [sorted(perm[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # quarters make frac * len(part) land exactly on integer degrees
+    frac = data.draw(st.one_of(
+        st.integers(-1, 5).map(lambda q: q / 4),
+        st.floats(-0.5, 1.2, allow_nan=False),
+    ))
+    assert _partition_audit(C, parts, 1, frac) == brute_partition_audit(C, parts, frac)
+
+
+def test_partition_audit_k2_exhaustive_small():
+    # every split of 6 vertices into two or three parts, at fractions whose
+    # needs land on and between integer degrees
+    n = 6
+    path = Hypergraph(n, 2, frozenset((i, i + 1) for i in range(n - 1)))
+    for members in ((complete_graph(n),), (cycle_graph(n), path), (cycle_graph(n), complete_graph(n))):
+        C = Collection(n, 2, members)
+        for labels in product(range(3), repeat=n):
+            parts = [[v for v in range(n) if labels[v] == j] for j in range(3)]
+            parts = [part for part in parts if part]
+            for q in range(-1, 6):
+                frac = q / 4
+                assert _partition_audit(C, parts, 1, frac) == brute_partition_audit(C, parts, frac)
+
+
+@given(st.sets(st.integers(0, 200)))
+def test_bits_inverts_mask_of(vertices):
+    assert list(bits(mask_of(vertices))) == sorted(vertices)
+
+
+def test_views_are_lazy_and_cached():
+    H = cycle_graph(5)
+    C = Collection(5, 2, (H, H))
+    assert "adjacency" not in vars(H) and "colour_masks" not in vars(C)
+    assert H.adjacency is H.adjacency
+    assert C.colour_masks is C.colour_masks
+    with pytest.raises(TypeError):
+        C.colour_masks[(0, 1)] = 0
+
+
+def test_adjacency_requires_graph():
+    with pytest.raises(InvalidInput):
+        complete_uniform(4, 3).adjacency
+
+
+def test_threshold_rejects_colours_out_of_range():
+    C = Collection(4, 2, (cycle_graph(4),))
+    with pytest.raises(InvalidInput):
+        threshold_hypergraph(C, [1], 1)
+    with pytest.raises(InvalidInput):
+        threshold_hypergraph(C, [-1], 1)

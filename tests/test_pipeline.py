@@ -1,6 +1,10 @@
 """Constructive pipeline: end-to-end runs, traces, and failure reporting."""
 
+import hashlib
+import json
+import random
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +12,7 @@ from transversals.collection import Collection, verify_certificate
 from transversals.errors import ColourCountMismatch, InvalidInput
 from transversals.exact import find_transversal_cycle
 from transversals.gen import GenSpec, generate
-from transversals.hypergraph import complete_graph
+from transversals.hypergraph import Hypergraph, complete_graph
 from transversals.links import single_edge_link, triangle_link
 from transversals.pipeline import (
     PipelineConfig,
@@ -93,3 +97,42 @@ def test_config_hierarchy_warning():
         cfg = PipelineConfig(gamma=0.5)  # gamma > rho breaks the ordering
     assert not cfg.hierarchy_ok
     assert any("gamma" in str(w.message) for w in caught)
+
+
+def sampled_dense(n, p, seed):
+    """n members, each G(n, p) from a str-seeded stdlib rng (independent of
+    the library's generators, so only the solver is pinned)."""
+    rng = random.Random(f"pin/{n}/{seed}")
+    pairs = list(combinations(range(n), 2))
+    return Collection(n, 2, tuple(
+        Hypergraph(n, 2, frozenset(e for e in pairs if rng.random() < p))
+        for _ in range(n)
+    ))
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# (n, p, seed) -> outcome, attempts, SHA-256 of the certificate JSON for a
+# success or of the failed attempt's step records for a failure.  Recorded
+# before the bitset views replaced recomputed degrees and threshold graphs.
+PINNED_RUNS = [
+    ((30, 0.85, 0), "success", 1, "24f1ce0fdfbbf691a210eb3e4de7991b6b715ee793abd7c6fc5065efde262065"),
+    ((40, 0.8, 2), "success", 1, "5d0ba293e4e5f52a233f4c0aa88a99d7b9026e2fdd3d2ce568b56d5b945f505d"),
+    ((40, 0.5, 0), "success", 2, "364791897f5c0843575ae89f759856d0c4f49e9f80def09612b457a896d15a13"),
+    ((30, 0.25, 0), "failure", 5, "67ebf54e477f945fc7b22a1265de065b8df629d20e6e6b24c4b62790b2543a07"),
+    ((30, 0.3, 1), "failure", 5, "934f69b74f90c8fb4c008bea51178187558d6b10fcb6c3deda1186d0085e4675"),
+]
+
+
+@pytest.mark.parametrize("spec, outcome, attempts, digest", PINNED_RUNS)
+def test_pipeline_runs_pinned(spec, outcome, attempts, digest):
+    n, p, seed = spec
+    C = sampled_dense(n, p, seed)
+    run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=seed, retries=5))
+    assert (run.outcome, run.attempts) == (outcome, attempts)
+    if run:
+        assert sha256_json(run.certificate.to_json()) == digest
+    else:
+        assert sha256_json([r.to_json() for r in run.records]) == digest
