@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -57,8 +58,17 @@ class BipartiteAvailability:
             if any(not 0 <= b < self.n_B for b in row):
                 raise InvalidInput("right index out of range")
 
+    @cached_property
+    def right_degrees(self) -> tuple[int, ...]:
+        """Number of left items that can use each right, built on first use."""
+        deg = [0] * self.n_B
+        for row in self.adjacency:
+            for b in row:
+                deg[b] += 1
+        return tuple(deg)
+
     def right_degree(self, b: int) -> int:
-        return sum(1 for row in self.adjacency if b in row)
+        return self.right_degrees[b]
 
 
 @dataclass(frozen=True)
@@ -71,14 +81,6 @@ class MatchingAbsorber:
     ell: int
 
 
-def _matchable(K: BipartiteAvailability, rights: Sequence[int]) -> bool:
-    """Perfect matching of the whole left side into the given rights?"""
-    pos = {b: j for j, b in enumerate(rights)}
-    adj = [[pos[b] for b in row if b in pos] for row in K.adjacency]
-    match = maximum_bipartite_matching(adj, len(rights))
-    return all(v != -1 for v in match)
-
-
 def absorber_holds(
     K: BipartiteAvailability,
     absorber: MatchingAbsorber,
@@ -86,12 +88,29 @@ def absorber_holds(
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check the defining property: every ell-subset U of B1 completes B0 to
     a perfect matching.  Exhaustive when the subset count is small, sampled
-    otherwise (rng required then).  Returns (ok, failing U or None)."""
+    otherwise (rng required then).  Returns (ok, failing U or None).
+
+    The left side is matched into B0 once; each U then only augments the
+    left items that base matching left free.  A left item with no augmenting
+    path never gains one as others are matched (Kuhn), so one augmentation
+    attempt per free item decides each U exactly as a fresh matching would."""
     b1 = list(absorber.B1)
     ell = absorber.ell
-    if ell == 0:
-        ok = _matchable(K, list(absorber.B0))
-        return ok, None if ok else ()
+    rows = [mask_of(row) for row in K.adjacency]
+
+    def augment(u: int, owner: dict[int, int], unseen: list[int]) -> bool:
+        while cand := rows[u] & unseen[0]:
+            low = cand & -cand
+            unseen[0] ^= low
+            v = low.bit_length() - 1
+            if v not in owner or augment(owner[v], owner, unseen):
+                owner[v] = u
+                return True
+        return False
+
+    b0 = mask_of(absorber.B0)
+    base: dict[int, int] = {}  # right -> the left item it is matched to
+    free = [u for u in range(K.m_A) if not augment(u, base, [b0])]
     total = math.comb(len(b1), ell)
     if total <= EXHAUSTIVE_CUTOFF:
         subsets = combinations(b1, ell)
@@ -100,7 +119,9 @@ def absorber_holds(
             raise InvalidInput("sampled verification needs an rng")
         subsets = (tuple(sorted(rng.sample(b1, ell))) for _ in range(SAMPLE_COUNT))
     for U in subsets:
-        if not _matchable(K, list(absorber.B0) + list(U)):
+        owner = dict(base)
+        allowed = b0 | mask_of(U)
+        if not all(augment(u, owner, [allowed]) for u in free):
             return False, U
     return True, None
 

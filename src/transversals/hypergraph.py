@@ -35,6 +35,9 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.n < 0 or self.k < 1:
             raise InvalidHypergraph(f"bad dimensions n={self.n} k={self.k}")
+        n = self.n
+        if self.k == 2 and not [e for e in self.edges if len(e) != 2 or not 0 <= e[0] < e[1] < n]:
+            return  # one pass over the pairs; the loop below names a bad edge
         for e in self.edges:
             if len(e) != self.k:
                 raise InvalidHypergraph(f"edge {e} is not {self.k}-uniform")
@@ -64,10 +67,11 @@ class Hypergraph:
         adjacency[v] is set when uv is an edge."""
         if self.k != 2:
             raise InvalidInput("adjacency requires a 2-uniform hypergraph")
+        bit = [1 << v for v in range(self.n)]
         adj = [0] * self.n
         for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
         return tuple(adj)
 
     def has_edge(self, edge: Sequence[int]) -> bool:

@@ -1,11 +1,20 @@
 """Absorbers, degree-preserving partitions, rainbow factors and tilings."""
 
+import hashlib
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from transversals import absorb
 from transversals.absorb import (
+    EXHAUSTIVE_CUTOFF,
+    SAMPLE_COUNT,
     BipartiteAvailability,
+    MatchingAbsorber,
     absorber_holds,
     build_colour_absorber,
     build_matching_absorber,
@@ -17,6 +26,7 @@ from transversals.collection import Collection, rainbow_colouring
 from transversals.errors import InfeasibleDegrees, InvalidInput, SizesMismatch
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph
+from transversals.matching import maximum_bipartite_matching
 from transversals.links import is_chain, single_edge_link, triangle_link
 from transversals.rng import rng_for
 
@@ -48,12 +58,97 @@ def test_matching_absorber_rejects_low_degree():
 def test_absorber_holds_detects_failure():
     # left 0 only reaches right 0; an absorber with B0=() and ell=1 fails on
     # any U avoiding right 0
-    from transversals.absorb import MatchingAbsorber
-
     K = BipartiteAvailability(1, 3, (frozenset({0}),))
     bad_ab = MatchingAbsorber(B0=(), B1=(1, 2), ell=1)
     ok, witness = absorber_holds(K, bad_ab)
     assert not ok and witness is not None
+
+
+def reference_absorber_holds(K, absorber, rng, cutoff):
+    """absorber_holds with a from-scratch matching for every subset."""
+
+    def matchable(rights):
+        pos = {b: j for j, b in enumerate(rights)}
+        adj = [[pos[b] for b in row if b in pos] for row in K.adjacency]
+        return all(v != -1 for v in maximum_bipartite_matching(adj, len(rights)))
+
+    b1, ell = list(absorber.B1), absorber.ell
+    if ell == 0:
+        ok = matchable(list(absorber.B0))
+        return ok, None if ok else ()
+    if math.comb(len(b1), ell) <= cutoff:
+        subsets = itertools.combinations(b1, ell)
+    else:
+        subsets = (tuple(sorted(rng.sample(b1, ell))) for _ in range(SAMPLE_COUNT))
+    for U in subsets:
+        if not matchable(list(absorber.B0) + list(U)):
+            return False, U
+    return True, None
+
+
+@st.composite
+def availability_and_absorber(draw):
+    m_a = draw(st.integers(0, 8))
+    n_b = draw(st.integers(1, 20))
+    rights = st.integers(0, n_b - 1)
+    rows = tuple(frozenset(draw(st.sets(rights, max_size=n_b))) for _ in range(m_a))
+    # B0 of any size, so that it often cannot match all but ell left items
+    b0 = tuple(sorted(draw(st.sets(rights, max_size=m_a))))
+    b1 = tuple(sorted(draw(st.sets(rights.filter(lambda b: b not in b0)))))
+    ell = draw(st.integers(0, 3))
+    return BipartiteAvailability(m_a, n_b, rows), MatchingAbsorber(b0, b1, ell)
+
+
+@pytest.mark.parametrize("cutoff", [EXHAUSTIVE_CUTOFF, 3, 0])
+@settings(max_examples=150, deadline=None)
+@given(case=availability_and_absorber(), seed=st.integers(0, 2**32))
+def test_absorber_holds_matches_from_scratch_reference(cutoff, case, seed):
+    # cutoff 0 sends every ell >= 1 check down the sampled branch
+    K, ab = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(absorb, "EXHAUSTIVE_CUTOFF", cutoff)
+        got = absorber_holds(K, ab, rng)
+    assert got == reference_absorber_holds(K, ab, ref_rng, cutoff)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def sparse_availability(sparse, seed):
+    """15 left items against 100 rights: `sparse` rows of 4-8 rights, the
+    rest of 30-80, the shape of the colour absorber in a dense n = m = 100
+    pipeline run."""
+    rng = rng_for(seed, "absorber-pin")
+    rows = []
+    for i in range(15):
+        deg = rng.randint(4, 8) if i < sparse else rng.randint(30, 80)
+        rows.append(frozenset(rng.sample(range(100), deg)))
+    return BipartiteAvailability(15, 100, tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "sparse, seed, b1_size, digest",
+    [
+        # the first sampled check passes
+        (1, 0, 88, "826654cff5ff04d826ead8a6d9701ccd978d11f033ff98d8d0968b4960d87de2"),
+        # three sampled checks fail and evict, then exhaustive checks take over
+        (3, 1, 6, "9b23842479626349e65f475380c631957a20555dea201fdb3d43279c3c40db4b"),
+    ],
+)
+def test_matching_absorber_pinned_in_sampled_regime(sparse, seed, b1_size, digest):
+    # B1 starts as the 88 rights outside B0, and C(88, 3) subsets are too
+    # many to check exhaustively.  The SHA-256 of (B0, B1) was recorded with
+    # a from-scratch matching per sampled subset.
+    assert math.comb(100 - (15 - 3), 3) > EXHAUSTIVE_CUTOFF
+    ab = build_matching_absorber(sparse_availability(sparse, seed), ell=3, alpha=0.2, seed=seed)
+    assert len(ab.B1) == b1_size
+    assert hashlib.sha256(repr((ab.B0, ab.B1)).encode()).hexdigest() == digest
+
+
+def test_right_degrees_count_rows():
+    K = random_availability(6, 30, 10, seed=1)
+    assert K.right_degrees == tuple(
+        sum(1 for row in K.adjacency if b in row) for b in range(K.n_B)
+    )
 
 
 def test_colour_absorber_exhaustive_property():

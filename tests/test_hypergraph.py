@@ -102,3 +102,51 @@ def test_min_degree_never_exceeds_any_vertex_degree(n, data):
     md = min_degree_d(H, 1)
     assert all(degree_d(H, (v,)) >= md for v in range(n))
     assert any(degree_d(H, (v,)) == md for v in range(n))
+
+
+# Messages recorded before 2-uniform validation became a single pass; each
+# malformed-edge kind must still raise the same error.
+MALFORMED_EDGES = [
+    (2, (1,), "edge (1,) is not 2-uniform"),
+    (2, (1, 2, 3), "edge (1, 2, 3) is not 2-uniform"),
+    (2, (2, 2), "edge (2, 2) is not strictly increasing"),
+    (2, (3, 1), "edge (3, 1) is not strictly increasing"),
+    (2, (-1, 2), "edge (-1, 2) out of range [0, 5)"),
+    (2, (2, 5), "edge (2, 5) out of range [0, 5)"),
+    (3, (1, 2), "edge (1, 2) is not 3-uniform"),
+    (3, (1, 2, 3, 4), "edge (1, 2, 3, 4) is not 3-uniform"),
+    (3, (1, 1, 2), "edge (1, 1, 2) is not strictly increasing"),
+    (3, (1, 3, 2), "edge (1, 3, 2) is not strictly increasing"),
+    (3, (-1, 1, 2), "edge (-1, 1, 2) out of range [0, 5)"),
+    (3, (1, 2, 5), "edge (1, 2, 5) out of range [0, 5)"),
+]
+
+
+@pytest.mark.parametrize("k, edge, message", MALFORMED_EDGES)
+def test_malformed_edge_messages(k, edge, message):
+    with pytest.raises(InvalidHypergraph) as exc:
+        Hypergraph(5, k, frozenset({edge}))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "k, edge, message",
+    [
+        (2, (7,), "edge (7,) is not 2-uniform"),
+        (2, (29, 29), "edge (29, 29) is not strictly increasing"),
+        (2, (12, 3), "edge (12, 3) is not strictly increasing"),
+        (2, (-1, 4), "edge (-1, 4) out of range [0, 30)"),
+        (2, (28, 30), "edge (28, 30) out of range [0, 30)"),
+        (3, (7, 8), "edge (7, 8) is not 3-uniform"),
+        (3, (5, 5, 9), "edge (5, 5, 9) is not strictly increasing"),
+        (3, (2, 9, 4), "edge (2, 9, 4) is not strictly increasing"),
+        (3, (-2, 3, 4), "edge (-2, 3, 4) out of range [0, 30)"),
+        (3, (27, 28, 30), "edge (27, 28, 30) out of range [0, 30)"),
+    ],
+)
+def test_one_bad_edge_among_many_is_named(k, edge, message):
+    valid = frozenset(itertools.combinations(range(30), k))
+    with pytest.raises(InvalidHypergraph) as exc:
+        Hypergraph(30, k, valid | {edge})
+    assert str(exc.value) == message
+
