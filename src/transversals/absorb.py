@@ -21,6 +21,7 @@ from .errors import (
     NoCopyFound,
     AbsorberFailed,
     PartitionFailed,
+    SearchExhausted,
     SizesMismatch,
 )
 from .exact import find_embedding
@@ -208,7 +209,10 @@ def build_colour_absorber(
         raise InvalidInput("template must have more than gamma_n edges")
     theta = math.ceil(alpha * C.m)
     K_host = threshold_hypergraph(C, range(C.m), theta)
-    emb = find_embedding(K_host, F_template, rng=rng_for(seed, "colour-absorber-embed"))
+    try:
+        emb = find_embedding(K_host, F_template, rng=rng_for(seed, "colour-absorber-embed"))
+    except SearchExhausted as exc:
+        raise NoCopyFound(f"template embedding budget exhausted: {exc}") from exc
     if emb is None:
         raise NoCopyFound("template does not embed into the threshold hypergraph")
     hosts = [
@@ -506,7 +510,10 @@ def _chain_in_part(
     t_max = (len(part) - link.ell) // step
     for t in range(t_max, 0, -1):
         template = build_chain_template(link, t)
-        emb = find_embedding(sub, template, rng=rng)
+        try:
+            emb = find_embedding(sub, template, rng=rng)
+        except SearchExhausted:
+            continue  # as when no chain of this length embeds: try a shorter one
         if emb is None:
             continue
         vertices = tuple(labels[v] for v in emb)

@@ -84,6 +84,8 @@ def cmd_solve(args) -> int:
         result = find_transversal_cycle(C, link, budget)
         outcome = {FOUND: "success", NONE: "none", EXHAUSTED: "exhausted"}[result.status]
         certificate = result.certificate
+        if args.trace:
+            trace = {"nodes": result.nodes, **result.stats}
     else:
         cfg = PipelineConfig(seed=args.seed)
         run = solve_transversal_hamilton(C, link, cfg=cfg)

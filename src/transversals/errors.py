@@ -33,6 +33,10 @@ class InfeasibleDegrees(TransversalsError):
     """A left vertex of the availability graph cannot support the absorber."""
 
 
+class SearchExhausted(TransversalsError):
+    """A search used its node budget before it could answer either way."""
+
+
 class NoCopyFound(TransversalsError):
     """No uncoloured copy of the template exists in the threshold hypergraph."""
 

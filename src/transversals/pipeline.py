@@ -39,6 +39,7 @@ from .errors import (
     InvalidInput,
     NoCopyFound,
     PartitionFailed,
+    SearchExhausted,
 )
 from .exact import find_embedding
 from .hypergraph import Edge, Hypergraph, bits
@@ -119,7 +120,10 @@ def _ab_path(K: Hypergraph, block: Sequence[int], rng) -> Optional[list[int]]:
         2,
         frozenset((i, i + 1) for i in range(len(labels) - 1)),
     )
-    emb = find_embedding(sub, template, rng=rng)
+    try:
+        emb = find_embedding(sub, template, rng=rng)
+    except SearchExhausted:
+        return None  # treated as no spanning path
     if emb is None:
         return None
     return [labels[v] for v in emb]

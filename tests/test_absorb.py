@@ -1,5 +1,6 @@
 """Absorbers, degree-preserving partitions, rainbow factors and tilings."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -23,7 +24,8 @@ from transversals.absorb import (
     rainbow_tiling,
 )
 from transversals.collection import Collection, rainbow_colouring
-from transversals.errors import InfeasibleDegrees, InvalidInput, SizesMismatch
+from transversals.errors import InfeasibleDegrees, InvalidInput, NoCopyFound, SizesMismatch
+from transversals.exact import find_embedding
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph
 from transversals.matching import maximum_bipartite_matching
@@ -161,6 +163,15 @@ def test_colour_absorber_exhaustive_property():
         cert = rainbow_colouring(C, host, set(ab.A) | set(B))
         assert cert is not None
         assert ab.A <= set(cert.colours())
+
+
+def test_colour_absorber_reports_exhausted_embedding_budget(monkeypatch):
+    C = generate(GenSpec(n=12, k=2, m=14, delta_fraction=0.7, family="random", seed=2))
+    path = Hypergraph.from_edges(7, 2, [(i, i + 1) for i in range(6)])
+    # the path embeds (see the test above), but not within a single node
+    monkeypatch.setattr(absorb, "find_embedding", functools.partial(find_embedding, node_limit=1))
+    with pytest.raises(NoCopyFound, match="budget exhausted"):
+        build_colour_absorber(C, path, gamma_n=2, alpha=0.2, seed=2)
 
 
 def test_partition_respects_sizes_and_universe():

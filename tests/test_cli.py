@@ -69,6 +69,21 @@ def test_solve_pipeline_engine_with_trace(tmp_path, capsys):
     assert "trace" in out and out["trace"]
 
 
+def test_solve_exact_engine_with_trace(tmp_path, capsys):
+    inst = run_gen(tmp_path, "dirac.json", "--family", "dirac-extremal", "--n", "9")
+    assert main(["solve", "--in", str(inst)]) == EXIT_NEGATIVE
+    assert "trace" not in json.loads(capsys.readouterr().out)
+    assert main(["solve", "--in", str(inst), "--trace"]) == EXIT_NEGATIVE
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert set(trace) == {
+        "nodes", "restarts", "flex_nodes", "random_nodes", "asc_nodes",
+        "hall_rejections", "missing_edge_rejections",
+    }
+    assert all(isinstance(v, int) for v in trace.values())
+    assert trace["flex_nodes"] + trace["random_nodes"] + trace["asc_nodes"] == trace["nodes"]
+    assert trace["restarts"] > 0 and trace["missing_edge_rejections"] > 0
+
+
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     inst = run_gen(tmp_path, "inst.json", "--family", "random", "--n", "8",
                    "--delta", "0.7", "--seed", "4")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transversals.collection import Collection, rainbow_colouring, verify_certificate
-from transversals.errors import ColourCountMismatch
+from transversals.errors import ColourCountMismatch, SearchExhausted
 from transversals.exact import (
     EXHAUSTED,
     FOUND,
@@ -152,6 +152,15 @@ def test_find_embedding_basic():
     emb = find_embedding(host, pattern)
     assert emb is not None and len(set(emb)) == 6
     # C_6 has max degree 2; the square of a cycle needs degree 4
+    assert find_embedding(cycle_graph(6), pattern) is None
+
+
+def test_find_embedding_tells_exhaustion_from_absence():
+    pattern = cycle_on(triangle_link(), 6)
+    for host in (complete_graph(6), cycle_graph(6)):  # embeds / does not
+        with pytest.raises(SearchExhausted):
+            find_embedding(host, pattern, node_limit=1)
+    assert find_embedding(complete_graph(6), pattern) is not None
     assert find_embedding(cycle_graph(6), pattern) is None
 
 
