@@ -18,13 +18,7 @@ from .exact import SearchBudget, SearchResult, find_transversal_cycle, find_tran
 from .gen import GenSpec, bridge_construction, dirac_extremal, generate, random_collection
 from .hypergraph import Hypergraph, min_degree_d
 from .links import Link, builtin_link, cycle_counts, cycle_on, make_link
-from .pipeline import (
-    PipelineConfig,
-    PipelineRun,
-    builtin_provider_hc2uniform,
-    solve_transversal_hamilton,
-    step_trace,
-)
+from .pipeline import PipelineConfig, PipelineRun, solve_transversal_hamilton
 
 __all__ = [
     "Collection",
@@ -38,7 +32,6 @@ __all__ = [
     "TransversalCertificate",
     "bridge_construction",
     "builtin_link",
-    "builtin_provider_hc2uniform",
     "collection_min_degree",
     "cycle_counts",
     "cycle_on",
@@ -51,7 +44,6 @@ __all__ = [
     "rainbow_colouring",
     "random_collection",
     "solve_transversal_hamilton",
-    "step_trace",
     "threshold_hypergraph",
     "verify_certificate",
 ]

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .collection import Collection, rainbow_colouring, threshold_hypergraph
+from .collection import Collection, collection_min_degree, rainbow_colouring, threshold_hypergraph
 from .errors import (
     InfeasibleDegrees,
     InvalidInput,
@@ -24,15 +24,8 @@ from .errors import (
     SearchExhausted,
     SizesMismatch,
 )
-from .exact import find_embedding
-from .hypergraph import (
-    Edge,
-    Hypergraph,
-    all_d_sets,
-    induced,
-    mask_of,
-    min_degree_d,
-)
+from .exact import _completion_schedule, _Searcher, find_embedding
+from .hypergraph import Edge, Hypergraph, all_d_sets, bits, induced, mask_of
 from .links import EmbeddedChain, Link, build_chain_template, chain_counts
 from .matching import maximum_bipartite_matching
 from .rng import rng_for
@@ -130,7 +123,6 @@ def absorber_holds(
 def build_matching_absorber(
     K: BipartiteAvailability,
     ell: int,
-    alpha: float,
     seed: int,
     retries: int = DEFAULT_RETRIES,
 ) -> Optional[MatchingAbsorber]:
@@ -139,9 +131,8 @@ def build_matching_absorber(
     Each attempt matches the left side into a random ordering of the rights,
     drops ell matched rights to form B0, takes the leftover rights (highest
     availability first) as B1, and then verifies; rights implicated in a
-    failed check are evicted from B1 and the check restarts.  `alpha` (the
-    paper's availability fraction) is not read: verification gates the
-    result instead."""
+    failed check are evicted from B1 and the check restarts.  Verification,
+    not the paper's availability fraction, gates the result."""
     if ell < 0 or ell > K.m_A:
         raise InvalidInput("need 0 <= ell <= m_A")
     for i, row in enumerate(K.adjacency):
@@ -223,7 +214,7 @@ def build_colour_absorber(
         C.m,
         tuple(frozenset(C.colours_of(e)) for e in hosts),
     )
-    ab = build_matching_absorber(avail, gamma_n, alpha, rng_for(seed, "colour-absorber").getrandbits(63), retries)
+    ab = build_matching_absorber(avail, gamma_n, rng_for(seed, "colour-absorber").getrandbits(63), retries)
     if ab is None:
         raise AbsorberFailed("no verified colour absorber within the retry budget")
     return ColourAbsorber(
@@ -255,7 +246,7 @@ def degree_preserving_partition(
         raise InvalidInput(f"every part must have at least {min_size} vertices")
     k = C.k
     d = k - 1 if d is None else d
-    delta = min(min_degree_d(H, d) for H in C.members)
+    delta = collection_min_degree(C, d)
     frac = delta / n ** (k - d) + alpha / 2 - slack
     for attempt in range(retries):
         rng = rng_for(seed, "partition", attempt)
@@ -358,59 +349,17 @@ def _place_rainbow_copy(
 ) -> Optional[RainbowCopy]:
     """Lowest-label backtracking embedding of the body into free vertices
     such that its edges are rainbow colourable within the block."""
-    order = sorted(free)
     body_edges = body.sorted_edges()
-    by_last = [[] for _ in range(body.n)]
-    for e in body_edges:
-        by_last[max(e)].append(e)
-    assignment = [-1] * body.n
-    in_use: set[int] = set()
-    union = C.colour_masks  # union edge -> colour bitset
-
-    def colourable(hosts: list[Edge]) -> Optional[list[int]]:
-        adj = []
-        for h in hosts:
-            mask = union.get(h, 0)
-            adj.append([j for j, c in enumerate(block) if mask >> c & 1])
-        match = maximum_bipartite_matching(adj, len(block))
-        if any(v == -1 for v in match):
-            return None
-        return [block[j] for j in match]
-
-    def dfs(pos: int) -> bool:
-        if pos == body.n:
-            return True
-        for v in order:
-            if v in in_use:
-                continue
-            assignment[pos] = v
-            ok = True
-            for e in by_last[pos]:
-                host = tuple(sorted(assignment[u] for u in e))
-                if host not in union:
-                    ok = False
-                    break
-            if ok:
-                # partial Hall check over the edges realised so far
-                done = [
-                    tuple(sorted(assignment[u] for u in e))
-                    for p in range(pos + 1)
-                    for e in by_last[p]
-                ]
-                if colourable(done) is not None:
-                    in_use.add(v)
-                    if dfs(pos + 1):
-                        return True
-                    in_use.remove(v)
-            assignment[pos] = -1
-        return False
-
-    if not dfs(0):
+    block_mask = mask_of(block)
+    schedule = _completion_schedule(body_edges, body.n, C.k)
+    searcher = _Searcher(C.n, C.k, schedule, C.colour_masks, block_mask)
+    if not searcher.search(sorted(free)):
         return None
-    hosts = [tuple(sorted(assignment[u] for u in e)) for e in body_edges]
-    cols = colourable(hosts)
-    pairing = tuple(zip(hosts, cols))
-    return RainbowCopy(tuple(assignment), pairing)
+    vertices = searcher.assignment
+    hosts = [tuple(sorted(vertices[u] for u in e)) for e in body_edges]
+    masks = C.colour_masks
+    cols = maximum_bipartite_matching([list(bits(masks[h] & block_mask)) for h in hosts], C.m)
+    return RainbowCopy(tuple(vertices), tuple(zip(hosts, cols)))
 
 
 @dataclass(frozen=True)

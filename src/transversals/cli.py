@@ -20,7 +20,7 @@ from .errors import InvalidInput, TransversalsError
 from .exact import EXHAUSTED, FOUND, NONE, SearchBudget, find_transversal_cycle
 from .gen import GenSpec, generate
 from .links import builtin_link, cycle_counts
-from .pipeline import PipelineConfig, solve_transversal_hamilton, step_trace
+from .pipeline import PipelineConfig, solve_transversal_hamilton
 from .rng import split
 
 EXIT_SUCCESS = 0
@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
         outcome = "success" if run else f"failure step {run.failure.step}" if run.failure else "failure"
         certificate = run.certificate
         if args.trace:
-            trace = [r.to_json() for r in step_trace(run)]
+            trace = [r.to_json() for r in run.records]
     elapsed = time.monotonic() - started
     cert_path = None
     if certificate is not None and args.out_cert:

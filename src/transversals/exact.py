@@ -10,9 +10,10 @@ completed edges through the batch matching.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .collection import Collection, TransversalCertificate, verify_certificate
 from .errors import ColourCountMismatch, InvalidInput, SearchExhausted
@@ -30,7 +31,6 @@ EXHAUSTED = "exhausted"
 class SearchBudget:
     node_limit: int = 10**7
     time_limit: float = float("inf")
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit <= 0 or self.time_limit <= 0:
@@ -58,10 +58,6 @@ class SearchResult:
         return self.status == FOUND
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 Schedule = list[list]
 
 
@@ -78,72 +74,136 @@ def _completion_schedule(edges: Iterable[tuple[int, ...]], positions: int, k: in
 
 
 class _Searcher:
-    """Shared backtracking core: fill positions with host vertices, complete
-    structure edges as their last position is assigned, and keep the edge ->
-    colour matching feasible at every step."""
+    """The one backtracking engine: fill the schedule's positions with host
+    vertices, completing each structure edge when its last position is
+    filled.  Without `colours`, `masks` is a set of host edges and a
+    candidate is accepted when every edge it completes is in it.  With
+    `colours` (a colour bitset), `masks` maps each host edge to its colour
+    bitset; every completed edge must hold a colour of `colours`, and those
+    colours are pushed into an incremental matching, which keeps the
+    completed edges rainbow colourable.
 
-    def __init__(self, C: Collection, budget: SearchBudget, schedule: Schedule):
-        self.C = C
-        self.budget = budget
+    Every candidate tried is one node.  Running past `node_limit`,
+    `time_limit` (checked every 4096 nodes) or the per-sweep `cap` raises
+    SearchExhausted; the cap is checked before the node is counted."""
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        schedule: Schedule,
+        masks,
+        colours: Optional[int] = None,
+        node_limit: float = math.inf,
+        time_limit: float = math.inf,
+    ):
+        self.n = n
+        self.pairs = k == 2
         self.schedule = schedule
-        self.pairs = C.k == 2
-        self.masks = C.colour_masks
+        self.masks = masks
+        self.colours = colours
+        self.node_limit = node_limit
+        self.time_limit = time_limit
+        self.cap = math.inf
         self.nodes = 0
         self.start_time = time.monotonic()
-        self.matcher = IncrementalMatching(C.m)
+        self.assignment: list[int] = []
         self.edge_stack: list[Edge] = []
         self.restarts = 0
         self.phase_nodes = {"flex": 0, "random": 0, "asc": 0}
         self.hall_rejections = 0
         self.missing_edge_rejections = 0
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            raise _BudgetExceeded
-        if self.nodes % 4096 == 0:
-            if time.monotonic() - self.start_time > self.budget.time_limit:
-                raise _BudgetExceeded
-
-    def host_edges(self, pos: int, v: int, assignment: list[int]) -> list[Edge]:
+    def host_edges(self, pos: int, v: int) -> list[Edge]:
         """The host edges completed by putting host vertex v at `pos`."""
+        assignment = self.assignment
         if self.pairs:  # the schedule holds the partner position of each edge
             return [(x, v) if (x := assignment[p]) < v else (v, x) for p in self.schedule[pos]]
-        return [
-            tuple(sorted([v, *(assignment[p] for p in others)]))
-            for others in self.schedule[pos]
-        ]
+        get = assignment.__getitem__
+        return [tuple(sorted([v, *map(get, others)])) for others in self.schedule[pos]]
 
-    def complete_edges(self, hosts: list[Edge]) -> bool:
-        """Push completed host edges into the matcher; False means infeasible
-        (nothing is left pushed in that case)."""
-        get = self.masks.get
-        masks = [get(host, 0) for host in hosts]
-        if not all(masks):
-            self.missing_edge_rejections += 1
-            return False
-        push = self.matcher.push
-        for pushed, mask in enumerate(masks):
-            if not push(mask):
-                for _ in range(pushed):
-                    self.matcher.pop()
-                self.hall_rejections += 1
+    def search(self, base: Sequence[int], arrange: Optional[Callable] = None) -> bool:
+        """Depth-first over the positions; candidates at each position are
+        the unused vertices of `base` in its order.  `arrange(pos, cands)`,
+        when given, returns the candidates to try instead (reordered,
+        filtered) and a dict of their host edges or None.  True leaves the
+        filled positions in `assignment` and, when coloured, the completed
+        edges in `edge_stack`; False means the space is exhausted."""
+        positions = len(self.schedule)
+        assignment = self.assignment = [-1] * positions
+        used = [False] * self.n
+        edge_stack = self.edge_stack = []
+        masks = self.masks
+        sel = self.colours
+        matcher = None if sel is None else IncrementalMatching(sel.bit_length())
+        host_edges = self.host_edges
+        node_limit, time_limit, cap = self.node_limit, self.time_limit, self.cap
+        nodes = self.nodes
+
+        def push_all(hosts: list[Edge]) -> bool:
+            get = masks.get
+            pushed = [get(host, 0) & sel for host in hosts]
+            if not all(pushed):
+                self.missing_edge_rejections += 1
                 return False
-        self.edge_stack += hosts
-        return True
+            push = matcher.push
+            for count, mask in enumerate(pushed):
+                if not push(mask):
+                    for _ in range(count):
+                        matcher.pop()
+                    self.hall_rejections += 1
+                    return False
+            edge_stack.extend(hosts)
+            return True
 
-    def uncomplete(self, count: int) -> None:
-        pop = self.matcher.pop
-        for _ in range(count):
-            pop()
-        del self.edge_stack[len(self.edge_stack) - count:]
+        def retract(count: int) -> None:
+            if matcher is not None:
+                for _ in range(count):
+                    matcher.pop()
+                del edge_stack[len(edge_stack) - count:]
+
+        accept = masks.issuperset if matcher is None else push_all
+
+        def dfs(pos: int) -> bool:
+            nonlocal nodes
+            if pos == positions:
+                return True
+            hosts_of = None
+            cands = base
+            if arrange is not None:
+                cands, hosts_of = arrange(pos, [v for v in base if not used[v]])
+            for v in cands:
+                if used[v]:
+                    continue
+                if nodes >= cap:
+                    raise SearchExhausted(f"search reached its cap of {cap} nodes")
+                nodes += 1
+                if nodes > node_limit:
+                    raise SearchExhausted(f"search used its {node_limit} nodes")
+                if nodes % 4096 == 0 and time.monotonic() - self.start_time > time_limit:
+                    raise SearchExhausted(f"search used its {time_limit} s")
+                hosts = hosts_of[v] if hosts_of else host_edges(pos, v)
+                if accept(hosts):
+                    assignment[pos] = v
+                    used[v] = True
+                    if dfs(pos + 1):
+                        return True
+                    retract(len(hosts))
+                    used[v] = False
+                    assignment[pos] = -1
+            return False
+
+        try:
+            return dfs(0)
+        finally:
+            self.nodes = nodes
 
     def certificate(self, n: int, k: int) -> TransversalCertificate:
         """Colours by replay: the batch matching of the completed edges in
         push order, which is the assignment an augmenting-path matcher grown
         by the same pushes would hold."""
         rows = [list(bits(self.masks[e])) for e in self.edge_stack]
-        phi = maximum_bipartite_matching(rows, self.C.m)
+        phi = maximum_bipartite_matching(rows, self.colours.bit_length())
         target = Hypergraph(n, k, frozenset(self.edge_stack))
         return TransversalCertificate.from_mapping(target, dict(zip(self.edge_stack, phi)))
 
@@ -160,8 +220,13 @@ class _Searcher:
         return SearchResult(status, certificate, self.nodes, self.elapsed(), stats)
 
 
+def _coloured_searcher(C: Collection, budget: SearchBudget, schedule: Schedule) -> _Searcher:
+    return _Searcher(
+        C.n, C.k, schedule, C.colour_masks, (1 << C.m) - 1, budget.node_limit, budget.time_limit
+    )
+
+
 def _cycle_search(
-    C: Collection,
     link: Link,
     searcher: _Searcher,
     node_cap: int,
@@ -175,74 +240,50 @@ def _cycle_search(
     order per position: "asc" (exhaustive default), "flex" (most colour
     options on the completed edges first), or "random" (shuffled) — the
     latter two are find-fast heuristics for the restart phase."""
-    n = C.n
+    n = searcher.n
     step = link.step
     orient = link.k == 2 and link.m == 2 and link.ell == 1
-    assignment = [-1] * n
-    used = [False] * n
-    start = searcher.nodes
-    cap = start + node_cap
     masks = searcher.masks
     host_edges = searcher.host_edges
 
-    def flex_order(pos: int, cands: list[int]) -> tuple[list[int], dict[int, list[Edge]]]:
-        """The candidates, most colour options on their completed edges
-        first (ties at random, then by vertex), and each one's host edges."""
-        hosts_of = {}
-        keyed = []
-        for v in cands:
-            hosts = hosts_of[v] = host_edges(pos, v, assignment)
-            options = 0
-            for host in hosts:
-                options += masks.get(host, 0).bit_count()
-            keyed.append((-options, rng.random() if rng is not None else 0, v))
-        keyed.sort()
-        return [v for _, _, v in keyed], hosts_of
-
-    def dfs(pos: int) -> bool:
-        if pos == n:
-            return True
+    def arrange(pos: int, cands: list[int]) -> tuple[list[int], Optional[dict[int, list[Edge]]]]:
+        assignment = searcher.assignment
         hosts_of = None
         if pos == 0 and step == 1:
             # rotational symmetry: with every position an anchor, vertex 0
             # can be pinned to position 0
             cands = [0]
-        else:
-            cands = [v for v in range(n) if not used[v]]
-            if order == "flex" and pos > 0:
-                cands, hosts_of = flex_order(pos, cands)
-            elif order == "random":
-                rng.shuffle(cands)
-        for v in cands:
-            if step > 1 and pos % step == 0 and pos > 0 and v < assignment[0]:
-                continue  # rotation by `step` could move a smaller anchor to position 0
-            if orient and pos == n - 1 and v > assignment[1]:
-                continue  # reflection symmetry of the 2-uniform cycle
-            if searcher.nodes >= cap:
-                raise _BudgetExceeded
-            searcher.tick()
-            hosts = hosts_of[v] if hosts_of else host_edges(pos, v, assignment)
-            if searcher.complete_edges(hosts):
-                assignment[pos] = v
-                used[v] = True
-                if dfs(pos + 1):
-                    return True
-                searcher.uncomplete(len(hosts))
-                used[v] = False
-                assignment[pos] = -1
-        return False
+        elif order == "flex" and pos > 0:
+            # most colour options on the completed edges first (ties at
+            # random, then by vertex), keeping each candidate's host edges
+            hosts_of = {}
+            keyed = []
+            for v in cands:
+                hosts = hosts_of[v] = host_edges(pos, v)
+                options = 0
+                for host in hosts:
+                    options += masks.get(host, 0).bit_count()
+                keyed.append((-options, rng.random(), v))
+            keyed.sort()
+            cands = [v for _, _, v in keyed]
+        elif order == "random":
+            rng.shuffle(cands)
+        if step > 1 and pos % step == 0 and pos > 0:
+            # rotation by `step` could move a smaller anchor to position 0
+            cands = [v for v in cands if v >= assignment[0]]
+        if orient and pos == n - 1:
+            # reflection symmetry of the 2-uniform cycle
+            cands = [v for v in cands if v <= assignment[1]]
+        return cands, hosts_of
 
+    start = searcher.nodes
+    searcher.cap = start + node_cap
     try:
-        return dfs(0)
-    except _BudgetExceeded:
-        if searcher.nodes > searcher.budget.node_limit:
+        return searcher.search(range(n), arrange)
+    except SearchExhausted:
+        if searcher.nodes > searcher.node_limit or searcher.elapsed() > searcher.time_limit:
             raise
-        if time.monotonic() - searcher.start_time > searcher.budget.time_limit:
-            raise
-        # cap hit mid-descent: drop the partially pushed matching state
-        searcher.matcher = IncrementalMatching(C.m)
-        searcher.edge_stack = []
-        return None
+        return None  # cap hit mid-descent
     finally:
         searcher.phase_nodes[order] += searcher.nodes - start
 
@@ -263,38 +304,23 @@ def find_transversal_cycle(
         raise ColourCountMismatch(
             f"collection has {C.m} members; an A-cycle on {n} vertices has {required} edges"
         )
-    schedule = _completion_schedule(cycle_on(link, n).edges, n, C.k)
-    searcher = _Searcher(C, budget, schedule)
+    searcher = _coloured_searcher(C, budget, _completion_schedule(cycle_on(link, n).edges, n, C.k))
     probe_budget = budget.node_limit // 2
-    rng = rng_for(0x5EED, "cycle-restarts") if budget.deterministic else rng_for(
-        time.monotonic_ns(), "cycle-restarts"
-    )
+    rng = rng_for(0x5EED, "cycle-restarts")
     outcome: Optional[bool] = None
     try:
         cap = 2000
         while searcher.nodes + cap <= probe_budget:
-            outcome = _cycle_search(
-                C,
-                link,
-                searcher,
-                cap,
-                order="flex" if searcher.restarts % 2 == 0 else "random",
-                rng=rng,
-            )
+            order = "flex" if searcher.restarts % 2 == 0 else "random"
+            outcome = _cycle_search(link, searcher, cap, order, rng)
             if outcome is not None:
                 break
             searcher.restarts += 1  # a sweep that hit its cap is always followed by another
             if searcher.restarts % 2 == 0:
                 cap *= 2
         if outcome is None:
-            outcome = _cycle_search(
-                C,
-                link,
-                searcher,
-                budget.node_limit - searcher.nodes,
-                order="asc",
-            )
-    except _BudgetExceeded:
+            outcome = _cycle_search(link, searcher, budget.node_limit - searcher.nodes)
+    except SearchExhausted:
         return searcher.result(EXHAUSTED)
     if outcome is None:
         return searcher.result(EXHAUSTED)
@@ -317,40 +343,16 @@ def find_transversal_subgraph(
         )
     if F.k != C.k:
         raise InvalidInput("pattern uniformity differs from the collection")
-    rank = {v: i for i, v in enumerate(_pattern_order(F))}
-    schedule = _completion_schedule((tuple(rank[v] for v in e) for e in F.edges), F.n, C.k)
-    searcher = _Searcher(C, budget, schedule)
-    n = C.n
-    assignment = [-1] * F.n  # host vertex per position of the branch order
-    used = [False] * n
-
-    def dfs(pos: int) -> bool:
-        if pos == F.n:
-            return True
-        for v in range(n):
-            if used[v]:
-                continue
-            searcher.tick()
-            hosts = searcher.host_edges(pos, v, assignment)
-            if searcher.complete_edges(hosts):
-                assignment[pos] = v
-                used[v] = True
-                if dfs(pos + 1):
-                    return True
-                searcher.uncomplete(len(hosts))
-                used[v] = False
-                assignment[pos] = -1
-        return False
-
+    searcher = _coloured_searcher(C, budget, _pattern_schedule(F)[1])
     try:
-        hit: Optional[bool] = dfs(0)
-    except _BudgetExceeded:
+        hit: Optional[bool] = searcher.search(range(C.n))
+    except SearchExhausted:
         hit = None
     searcher.phase_nodes["asc"] = searcher.nodes  # a single ascending sweep
     if hit is None:
         return searcher.result(EXHAUSTED)
     if hit:
-        cert = searcher.certificate(n, C.k)
+        cert = searcher.certificate(C.n, C.k)
         check = verify_certificate(C, cert)
         if not check.ok:
             raise AssertionError(f"solver produced an invalid certificate: {check.reason}")
@@ -358,8 +360,10 @@ def find_transversal_subgraph(
     return searcher.result(NONE)
 
 
-def _pattern_order(F: Hypergraph) -> list[int]:
-    """Static branch order: highest-degree pattern vertices first, then by a
+def _pattern_schedule(F: Hypergraph) -> tuple[list[int], Schedule]:
+    """The position of each pattern vertex in the static branch order, and
+    the completion schedule of F's edges over those positions.  The order
+    puts highest-degree pattern vertices first, then follows a
     connectivity-greedy sweep so edges complete early."""
     deg = {v: 0 for v in range(F.n)}
     for e in F.edges:
@@ -377,7 +381,10 @@ def _pattern_order(F: Hypergraph) -> list[int]:
         order.append(best)
         placed.add(best)
         remaining.remove(best)
-    return order
+    rank = [0] * F.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    return rank, _completion_schedule((tuple(rank[v] for v in e) for e in F.edges), F.n, F.k)
 
 
 def find_embedding(
@@ -387,48 +394,16 @@ def find_embedding(
     node_limit: int = 10**6,
 ) -> Optional[list[int]]:
     """Uncoloured injective embedding of `pattern` into `host`; returns the
-    host vertex per pattern vertex, or None when none exists.  Raises
+    host vertex per pattern vertex, or None when none exists.  Candidates
+    are tried in vertex order, shuffled by `rng` when one is given.  Raises
     SearchExhausted when `node_limit` nodes run out before either answer."""
     if pattern.k != host.k:
         raise InvalidInput("uniformity mismatch")
-    order = _pattern_order(pattern)
-    rank = {v: i for i, v in enumerate(order)}
-    by_last: list[list[Edge]] = [[] for _ in range(pattern.n)]
-    for e in pattern.edges:
-        by_last[max(rank[v] for v in e)].append(e)
+    rank, schedule = _pattern_schedule(pattern)
     base = list(range(host.n))
     if rng is not None:
         rng.shuffle(base)
-    assignment = {v: -1 for v in range(pattern.n)}
-    used = [False] * host.n
-    nodes = 0
-
-    def dfs(pos: int) -> bool:
-        nonlocal nodes
-        if pos == pattern.n:
-            return True
-        pv = order[pos]
-        for v in base:
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                raise SearchExhausted(f"embedding search used its {node_limit} nodes")
-            ok = True
-            assignment[pv] = v
-            for e in by_last[pos]:
-                hostedge = tuple(sorted(assignment[u] for u in e))
-                if hostedge not in host.edges:
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                if dfs(pos + 1):
-                    return True
-                used[v] = False
-            assignment[pv] = -1
-        return False
-
-    if dfs(0):
-        return [assignment[v] for v in range(pattern.n)]
-    return None
+    searcher = _Searcher(host.n, host.k, schedule, host.edges, node_limit=node_limit)
+    if not searcher.search(base):
+        return None
+    return [searcher.assignment[rank[v]] for v in range(pattern.n)]

@@ -104,11 +104,6 @@ class Hypergraph:
         return cls(n, k, frozenset(tuples))
 
 
-# The order of an ordered hypergraph is the integer order of its vertices;
-# no extra state is needed.
-OrderedHypergraph = Hypergraph
-
-
 def degree_d(H: Hypergraph, S: Iterable[int]) -> int:
     """Number of edges of H containing the d-set S, 1 <= d < k."""
     s = frozenset(S)
@@ -155,7 +150,7 @@ def induced(H: Hypergraph, U: Iterable[int]) -> Hypergraph:
     return Hypergraph(len(verts), H.k, frozenset(edges))
 
 
-def ordered_isomorphic(a: OrderedHypergraph, b: OrderedHypergraph) -> bool:
+def ordered_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     """Order-preserving isomorphism of index-normalised objects is edge-set equality."""
     return a.n == b.n and a.k == b.k and a.edges == b.edges
 

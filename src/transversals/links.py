@@ -16,7 +16,6 @@ from .errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
 from .hypergraph import (
     Edge,
     Hypergraph,
-    OrderedHypergraph,
     complete_graph,
     induced,
     ordered_isomorphic,
@@ -27,7 +26,7 @@ from .hypergraph import (
 class Link:
     """Validated l-link.  `body` lives on vertices 0..m-1 in index order."""
 
-    body: OrderedHypergraph
+    body: Hypergraph
     ell: int
 
     @property
@@ -65,7 +64,7 @@ class Link:
         return make_link(Hypergraph.from_json(obj["body"]), int(obj["ell"]))
 
 
-def make_link(body: OrderedHypergraph, ell: int) -> Link:
+def make_link(body: Hypergraph, ell: int) -> Link:
     """Validate that the first-l and last-l windows agree and return the link."""
     if not 1 <= ell <= body.n:
         raise InvalidInput(f"ell={ell} outside [1, {body.n}]")
@@ -126,7 +125,7 @@ def cycle_counts(link: Link, n: int) -> int:
     return total // step
 
 
-def build_chain_template(link: Link, t: int) -> OrderedHypergraph:
+def build_chain_template(link: Link, t: int) -> Hypergraph:
     """Canonical minimal chain: the link pattern shifted by (m-l)(q-1) per window."""
     layout = chain_windows(link, t)
     step = link.step
@@ -138,7 +137,7 @@ def build_chain_template(link: Link, t: int) -> OrderedHypergraph:
     return Hypergraph(layout.num_vertices, link.k, frozenset(edges))
 
 
-def close_cycle(template: OrderedHypergraph, link: Link, t: int) -> Hypergraph:
+def close_cycle(template: Hypergraph, link: Link, t: int) -> Hypergraph:
     """Identify the end of the chain template with its start; merge coinciding edges."""
     nverts = link.step * t
     if nverts < link.m:
@@ -168,7 +167,7 @@ def cycle_on(link: Link, n: int) -> Hypergraph:
 
 
 def is_chain(
-    candidate: OrderedHypergraph, link: Link, mode: str = "exact"
+    candidate: Hypergraph, link: Link, mode: str = "exact"
 ) -> tuple[bool, Optional[ChainLayout]]:
     """Recognise candidate as an A-chain.
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .absorb import (
     FactorResult,
@@ -51,16 +51,15 @@ from .rng import rng_for, split
 class PipelineConfig:
     """Size fractions and retry policy.
 
-    The intended orderings gamma < rho < beta < alpha and omega < nu < eta
-    are advisory: small n cannot honour them, so violations only warn.  rho
-    acts as a floor — the reserved colour pool is actually derived from the
+    The intended orderings gamma < beta < alpha and omega < nu < eta are
+    advisory: small n cannot honour them, so violations only warn.  The
+    reserved colour pool has no fraction of its own: it is derived from the
     sizes of the built structures so that the colour and vertex counts close
     exactly."""
 
     alpha: float = 0.2
     beta: float = 0.15
     gamma: float = 0.03
-    rho: float = 0.1
     tau: float = 0.1
     eta: float = 0.08
     nu: float = 0.05
@@ -73,10 +72,10 @@ class PipelineConfig:
     hierarchy_ok: bool = field(init=False, default=True)
 
     def __post_init__(self) -> None:
-        if not (self.gamma < self.rho < self.beta < self.alpha):
+        if not (self.gamma < self.beta < self.alpha):
             self.hierarchy_ok = False
             warnings.warn(
-                "fraction ordering gamma < rho < beta < alpha violated",
+                "fraction ordering gamma < beta < alpha violated",
                 stacklevel=2,
             )
         if not (self.omega < self.nu < self.eta):
@@ -86,25 +85,9 @@ class PipelineConfig:
             )
 
 
-@dataclass(frozen=True)
-class Provider:
-    """Pluggable sub-solvers.
-
-    ab(K, block, rng) -> path vertex sequence spanning `block` inside the
-        graph K, or None.
-    con(K, u, w, interior_pool, c) -> path [u, ..., w] of length <= c whose
-        interior lies in interior_pool, or None.
-    fac(C, colours, link, allowed) -> FactorResult placing one rainbow copy
-        per colour block inside `allowed`.
-    """
-
-    ab: Callable
-    con: Callable
-    fac: Callable
-
-
 def _ab_path(K: Hypergraph, block: Sequence[int], rng) -> Optional[list[int]]:
-    """Spanning path of the block inside K."""
+    """Spanning path of the block inside K, or None when there is none.
+    Raises SearchExhausted when the path search runs out of nodes."""
     labels = sorted(block)
     if len(labels) == 1:
         return list(labels)
@@ -120,10 +103,7 @@ def _ab_path(K: Hypergraph, block: Sequence[int], rng) -> Optional[list[int]]:
         2,
         frozenset((i, i + 1) for i in range(len(labels) - 1)),
     )
-    try:
-        emb = find_embedding(sub, template, rng=rng)
-    except SearchExhausted:
-        return None  # treated as no spanning path
+    emb = find_embedding(sub, template, rng=rng)
     if emb is None:
         return None
     return [labels[v] for v in emb]
@@ -151,10 +131,6 @@ def _con_bfs(
                 seen.add(x)
                 frontier.append((x, path + [x]))
     return None
-
-
-def builtin_provider_hc2uniform() -> Provider:
-    return Provider(ab=_ab_path, con=_con_bfs, fac=greedy_rainbow_factor)
 
 
 @dataclass
@@ -196,10 +172,6 @@ class PipelineRun:
         return self.outcome == "success"
 
 
-def step_trace(run: PipelineRun) -> list[StepRecord]:
-    return run.records
-
-
 class _StepFailure(Exception):
     def __init__(self, report: FailureReport):
         self.report = report
@@ -208,11 +180,9 @@ class _StepFailure(Exception):
 def solve_transversal_hamilton(
     C: Collection,
     link: Link,
-    provider: Optional[Provider] = None,
     cfg: Optional[PipelineConfig] = None,
 ) -> PipelineRun:
     cfg = cfg if cfg is not None else PipelineConfig()
-    provider = provider if provider is not None else builtin_provider_hc2uniform()
     if not (link.k == 2 and link.m == 2 and link.ell == 1):
         raise InvalidInput(
             "the built-in construction handles the 2-uniform single-edge link; "
@@ -228,7 +198,7 @@ def solve_transversal_hamilton(
     for attempt in range(cfg.retries):
         records: list[StepRecord] = []
         try:
-            cert = _attempt(C, link, provider, cfg, split(cfg.seed, "attempt", attempt), records)
+            cert = _attempt(C, link, cfg, split(cfg.seed, "attempt", attempt), records)
             return PipelineRun("success", cert, None, records, attempt + 1, cfg.seed)
         except _StepFailure as sf:
             last_failure = sf.report
@@ -247,7 +217,6 @@ def _path_edges(seq: Sequence[int]) -> list[Edge]:
 def _attempt(
     C: Collection,
     link: Link,
-    provider: Provider,
     cfg: PipelineConfig,
     seed: int,
     records: list[StepRecord],
@@ -322,7 +291,10 @@ def _attempt(
     s2_block, r1_set, r2_set, vp = parts
     theta_ab = max(2, math.ceil(cfg.tau * len(cset)))
     K_ab = threshold_hypergraph(C, sorted(cset), theta_ab)
-    s2_path = provider.ab(K_ab, s2_block, rng_for(seed, "s2"))
+    try:
+        s2_path = _ab_path(K_ab, s2_block, rng_for(seed, "s2"))
+    except SearchExhausted:
+        _fail(2, "vertex-absorber", "spanning-path search budget exhausted", block=len(s2_block))
     if s2_path is None:
         _fail(2, "vertex-absorber", "no spanning path in the absorber block", block=len(s2_block))
     gadgets = [
@@ -421,7 +393,7 @@ def _attempt(
     # Step 6: exhaust the remaining main-pool colours with single edges in
     # the balance region.
     free = sorted(set(r2_set) | uncovered)
-    fac: FactorResult = provider.fac(C, c0, link, free)
+    fac: FactorResult = greedy_rainbow_factor(C, c0, link, free)
     if not fac.complete:
         _fail(6, "factor", "leftover colours cannot all be placed", stuck=fac.stuck_block, free=len(free))
     records.append(
@@ -444,7 +416,7 @@ def _attempt(
     interiors: list[list[int]] = []
     for i, seg in enumerate(segments):
         nxt = segments[(i + 1) % len(segments)]
-        path = provider.con(K_r, seg[-1], nxt[0], interior_pool, cfg.c)
+        path = _con_bfs(K_r, seg[-1], nxt[0], interior_pool, cfg.c)
         if path is None:
             _fail(
                 8,

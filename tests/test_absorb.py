@@ -44,7 +44,7 @@ def random_availability(m_a, n_b, min_deg, seed):
 
 def test_matching_absorber_built_and_holds():
     K = random_availability(6, 30, 10, seed=1)
-    ab = build_matching_absorber(K, ell=1, alpha=0.2, seed=1)
+    ab = build_matching_absorber(K, ell=1, seed=1)
     assert ab is not None
     ok, bad = absorber_holds(K, ab)
     assert ok and bad is None
@@ -54,7 +54,7 @@ def test_matching_absorber_built_and_holds():
 def test_matching_absorber_rejects_low_degree():
     K = BipartiteAvailability(2, 5, (frozenset({0}), frozenset({1, 2})))
     with pytest.raises(InfeasibleDegrees):
-        build_matching_absorber(K, ell=1, alpha=0.1, seed=0)
+        build_matching_absorber(K, ell=1, seed=0)
 
 
 def test_absorber_holds_detects_failure():
@@ -141,7 +141,7 @@ def test_matching_absorber_pinned_in_sampled_regime(sparse, seed, b1_size, diges
     # many to check exhaustively.  The SHA-256 of (B0, B1) was recorded with
     # a from-scratch matching per sampled subset.
     assert math.comb(100 - (15 - 3), 3) > EXHAUSTIVE_CUTOFF
-    ab = build_matching_absorber(sparse_availability(sparse, seed), ell=3, alpha=0.2, seed=seed)
+    ab = build_matching_absorber(sparse_availability(sparse, seed), ell=3, seed=seed)
     assert len(ab.B1) == b1_size
     assert hashlib.sha256(repr((ab.B0, ab.B1)).encode()).hexdigest() == digest
 
@@ -190,6 +190,11 @@ def test_partition_within_subset():
     )
     assert parts is not None
     assert sorted(v for p in parts for v in p) == universe
+
+
+def test_partition_of_empty_collection_is_invalid_input():
+    with pytest.raises(InvalidInput, match="empty collection"):
+        degree_preserving_partition(Collection(4, 2, ()), (2, 2), alpha=0.2, seed=0)
 
 
 def test_partition_sizes_mismatch():

@@ -171,7 +171,7 @@ def test_5_matching_absorbers_verified_exhaustively():
                 for _ in range(m_a)
             )
             K = BipartiteAvailability(m_a, n_b, rows)
-            ab = build_matching_absorber(K, ell, alpha=0.1, seed=rng.getrandbits(32))
+            ab = build_matching_absorber(K, ell, seed=rng.getrandbits(32))
             if ab is None:
                 continue
             assert math.comb(len(ab.B1), ab.ell) <= 10**5  # exhaustive regime

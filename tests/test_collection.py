@@ -19,7 +19,8 @@ from transversals.collection import (
 from transversals.errors import InvalidInput
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph, cycle_graph, min_degree_d
-from transversals.links import cycle_on, single_edge_link, triangle_link
+from transversals.errors import TooShort
+from transversals.links import builtin_link, cycle_on, single_edge_link, triangle_link
 from transversals.rng import rng_for
 
 
@@ -129,6 +130,49 @@ def test_is_cycle_copy_relabelled():
     edges = [tuple(sorted((seq[i], seq[(i + 1) % 5]))) for i in range(5)]
     assert is_cycle_copy(Hypergraph.from_edges(5, 2, edges), link)
     assert is_cycle_copy(cycle_on(triangle_link(), 6), triangle_link())
+
+
+def cycle_images(canonical: Hypergraph) -> set[frozenset]:
+    """Brute force: the edge set of every relabelling of `canonical` by a
+    permutation of its vertices."""
+    return {
+        frozenset(tuple(sorted(perm[v] for v in e)) for e in canonical.edges)
+        for perm in itertools.permutations(range(canonical.n))
+    }
+
+
+def cycle_shapes(max_n: int):
+    """(link name, n) for every A-cycle on at most max_n vertices whose
+    shape the verifier checks by its own labelling search."""
+    for name in ("triangle", "pillar", "edge(3,1)", "edge(3,2)", "clique(4)"):
+        link = builtin_link(name)
+        for n in range(link.m, max_n + 1):
+            if n % link.step:
+                continue
+            try:
+                cycle_on(link, n)
+            except TooShort:
+                continue
+            yield name, n
+
+
+@pytest.mark.parametrize("name, n", list(cycle_shapes(7)))
+def test_is_cycle_copy_matches_brute_force(name, n):
+    link = builtin_link(name)
+    canonical = cycle_on(link, n)
+    images = cycle_images(canonical)
+    rng = rng_for(n, "cycle-copy", name)
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = Hypergraph.from_edges(n, link.k, [[perm[v] for v in e] for e in canonical.edges])
+        assert is_cycle_copy(relabelled, link)
+    # every swap of one edge for one non-edge, against the brute force
+    non_edges = [e for e in itertools.combinations(range(n), link.k) if e not in canonical.edges]
+    for out in sorted(canonical.edges):
+        for into in non_edges:
+            swapped = (canonical.edges - {out}) | {into}
+            assert is_cycle_copy(Hypergraph(n, link.k, swapped), link) == (swapped in images)
 
 
 def test_certificate_json_round_trip():

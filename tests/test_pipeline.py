@@ -1,5 +1,6 @@
 """Constructive pipeline: end-to-end runs, traces, and failure reporting."""
 
+import functools
 import hashlib
 import json
 import random
@@ -10,15 +11,12 @@ import pytest
 
 from transversals.collection import Collection, verify_certificate
 from transversals.errors import ColourCountMismatch, InvalidInput
-from transversals.exact import find_transversal_cycle
+from transversals import pipeline
+from transversals.exact import find_embedding, find_transversal_cycle
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph
 from transversals.links import single_edge_link, triangle_link
-from transversals.pipeline import (
-    PipelineConfig,
-    solve_transversal_hamilton,
-    step_trace,
-)
+from transversals.pipeline import PipelineConfig, solve_transversal_hamilton
 
 LINK21 = single_edge_link(2, 1)
 
@@ -40,10 +38,10 @@ def test_pipeline_trace_has_all_steps():
     C = dense_instance(80, seed=1)
     run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=1))
     assert run
-    steps = [r.step for r in step_trace(run)]
+    steps = [r.step for r in run.records]
     assert steps == sorted(steps)
     assert steps[-1] == 10
-    for rec in step_trace(run):
+    for rec in run.records:
         assert rec.to_json()["name"]
 
 
@@ -94,7 +92,7 @@ def test_pipeline_is_deterministic():
 def test_config_hierarchy_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cfg = PipelineConfig(gamma=0.5)  # gamma > rho breaks the ordering
+        cfg = PipelineConfig(gamma=0.5)  # gamma > beta breaks the ordering
     assert not cfg.hierarchy_ok
     assert any("gamma" in str(w.message) for w in caught)
 
@@ -136,3 +134,12 @@ def test_pipeline_runs_pinned(spec, outcome, attempts, digest):
         assert sha256_json(run.certificate.to_json()) == digest
     else:
         assert sha256_json([r.to_json() for r in run.records]) == digest
+
+
+def test_step_2_reports_exhausted_path_budget(monkeypatch):
+    C = sampled_dense(30, 0.85, 0)
+    # the step 2 block spans a dense graph, but not within a single node
+    monkeypatch.setattr(pipeline, "find_embedding", functools.partial(find_embedding, node_limit=1))
+    run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=0, retries=2))
+    assert run.outcome == "failure"
+    assert (run.failure.step, run.failure.reason) == (2, "spanning-path search budget exhausted")
