@@ -352,7 +352,8 @@ def _place_rainbow_copy(
     body_edges = body.sorted_edges()
     block_mask = mask_of(block)
     schedule = _completion_schedule(body_edges, body.n, C.k)
-    searcher = _Searcher(C.n, C.k, schedule, C.colour_masks, block_mask)
+    neighbours = C.union_adjacency if C.k == 2 else None
+    searcher = _Searcher(C.n, C.k, schedule, C.colour_masks, neighbours, block_mask)
     if not searcher.search(sorted(free)):
         return None
     vertices = searcher.assignment

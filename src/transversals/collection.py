@@ -26,8 +26,9 @@ PHI_DOMAIN_MISMATCH = "PhiDomainMismatch"
 class Collection:
     """Indexed sequence of k-uniform hypergraphs on a shared vertex set.
 
-    The edge -> colours index (`colour_masks`) is built on first use and kept
-    for the object's life; construction does not pay for it."""
+    The edge -> colours index (`colour_masks`) and the union's neighbour
+    bitmasks (`union_adjacency`) are built on first use and kept for the
+    object's life; construction does not pay for them."""
 
     n: int
     k: int
@@ -52,6 +53,20 @@ class Collection:
             for e in H.edges:
                 masks[e] = masks.get(e, 0) | bit
         return MappingProxyType(masks)
+
+    @cached_property
+    def union_adjacency(self) -> tuple[int, ...]:
+        """Per-vertex neighbour bitmasks of the union of a 2-uniform
+        collection: bit u of union_adjacency[v] is set when some member
+        contains uv."""
+        if self.k != 2:
+            raise InvalidInput("union_adjacency requires a 2-uniform collection")
+        bit = [1 << v for v in range(self.n)]
+        adj = [0] * self.n
+        for u, v in self.colour_masks:
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
+        return tuple(adj)
 
     def union_edges(self) -> frozenset[Edge]:
         return frozenset(self.colour_masks)

@@ -2,10 +2,12 @@
 
 Outcomes are three-valued: a verified certificate, a definitive "none"
 (the search space was exhausted), or "exhausted" when the node/time budget
-ran out first.  Colours are never branched on; a maintained incremental
-matching over the collection's colour bitsets prunes exactly on Hall
-feasibility, and a found certificate's colours come from replaying the
-completed edges through the batch matching.
+ran out first.  For k = 2 the candidates at each position come from
+neighbour bitsets, so a vertex that would complete a non-edge is never
+tried.  Colours are never branched on; a maintained incremental matching
+over the collection's colour bitsets prunes exactly on Hall feasibility,
+and a found certificate's colours come from replaying the completed edges
+through the batch matching.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .collection import Collection, TransversalCertificate, verify_certificate
 from .errors import ColourCountMismatch, InvalidInput, SearchExhausted
-from .hypergraph import Edge, Hypergraph, bits
+from .hypergraph import Edge, Hypergraph, bits, mask_of
 from .links import Link, cycle_counts, cycle_on
 from .matching import IncrementalMatching, maximum_bipartite_matching
 from .rng import rng_for
@@ -41,12 +43,19 @@ class SearchBudget:
 class SearchResult:
     """Outcome of an exact search.
 
+    `nodes` counts the candidates tried.  For k = 2 a candidate must be
+    union-adjacent to every placed partner of the position to be tried at
+    all; the others are skipped without counting a node.
+
     `stats` holds integer counters: `restarts` (sweeps begun after the
     first), `flex_nodes`, `random_nodes` and `asc_nodes` (nodes per kind of
-    sweep; they sum to `nodes`), `hall_rejections` (candidates whose
-    completed edges admit no rainbow colouring) and
-    `missing_edge_rejections` (candidates completing an edge no colour
-    holds)."""
+    sweep; they sum to `nodes`), `filtered_candidates` (unused vertices the
+    k = 2 neighbour-bitset filter skipped; not nodes),
+    `reflection_cuts` (candidates at position 1, and branches from
+    position 2 on, refused by the reflection rule of the 2-uniform cycle),
+    `hall_rejections` (candidates whose completed edges admit no rainbow
+    colouring) and `missing_edge_rejections` (candidates completing an edge
+    no usable colour holds; for k = 2 only a colour subset leaves any)."""
 
     status: str
     certificate: Optional[TransversalCertificate] = None
@@ -83,6 +92,12 @@ class _Searcher:
     colours are pushed into an incremental matching, which keeps the
     completed edges rainbow colourable.
 
+    For k = 2, `neighbours` holds each host vertex's neighbour bitmask
+    (every edge `masks` accepts joins two neighbours), and the candidates at
+    a position are the unused vertices adjacent to every partner already
+    placed there; for k >= 3 it is None and every unused vertex is a
+    candidate.
+
     Every candidate tried is one node.  Running past `node_limit`,
     `time_limit` (checked every 4096 nodes) or the per-sweep `cap` raises
     SearchExhausted; the cap is checked before the node is counted."""
@@ -93,6 +108,7 @@ class _Searcher:
         k: int,
         schedule: Schedule,
         masks,
+        neighbours: Optional[Sequence[int]],
         colours: Optional[int] = None,
         node_limit: float = math.inf,
         time_limit: float = math.inf,
@@ -101,6 +117,7 @@ class _Searcher:
         self.pairs = k == 2
         self.schedule = schedule
         self.masks = masks
+        self.neighbours = neighbours
         self.colours = colours
         self.node_limit = node_limit
         self.time_limit = time_limit
@@ -111,6 +128,8 @@ class _Searcher:
         self.edge_stack: list[Edge] = []
         self.restarts = 0
         self.phase_nodes = {"flex": 0, "random": 0, "asc": 0}
+        self.filtered_candidates = 0
+        self.reflection_cuts = 0
         self.hall_rejections = 0
         self.missing_edge_rejections = 0
 
@@ -124,21 +143,25 @@ class _Searcher:
 
     def search(self, base: Sequence[int], arrange: Optional[Callable] = None) -> bool:
         """Depth-first over the positions; candidates at each position are
-        the unused vertices of `base` in its order.  `arrange(pos, cands)`,
-        when given, returns the candidates to try instead (reordered,
-        filtered) and a dict of their host edges or None.  True leaves the
-        filled positions in `assignment` and, when coloured, the completed
-        edges in `edge_stack`; False means the space is exhausted."""
-        positions = len(self.schedule)
+        the unused vertices of `base` in its order that pass the neighbour
+        filter.  `arrange(pos, cands, unused)`, when given, returns the
+        candidates to try instead (reordered, filtered) and a dict of their
+        host edges or None; `unused` is the bitmask of unplaced vertices of
+        `base`.  True leaves the filled positions in `assignment` and, when
+        coloured, the completed edges in `edge_stack`; False means the space
+        is exhausted."""
+        schedule = self.schedule
+        positions = len(schedule)
         assignment = self.assignment = [-1] * positions
-        used = [False] * self.n
         edge_stack = self.edge_stack = []
         masks = self.masks
+        neighbours = self.neighbours
         sel = self.colours
         matcher = None if sel is None else IncrementalMatching(sel.bit_length())
         host_edges = self.host_edges
         node_limit, time_limit, cap = self.node_limit, self.time_limit, self.cap
         nodes = self.nodes
+        filtered = self.filtered_candidates
 
         def push_all(hosts: list[Edge]) -> bool:
             get = masks.get
@@ -164,17 +187,20 @@ class _Searcher:
 
         accept = masks.issuperset if matcher is None else push_all
 
-        def dfs(pos: int) -> bool:
-            nonlocal nodes
+        def dfs(pos: int, unused: int) -> bool:
+            nonlocal nodes, filtered
             if pos == positions:
                 return True
+            allowed = unused
+            if neighbours is not None:
+                for p in schedule[pos]:
+                    allowed &= neighbours[assignment[p]]
+                filtered += (unused ^ allowed).bit_count()
+            cands = [v for v in base if allowed >> v & 1]
             hosts_of = None
-            cands = base
             if arrange is not None:
-                cands, hosts_of = arrange(pos, [v for v in base if not used[v]])
+                cands, hosts_of = arrange(pos, cands, unused)
             for v in cands:
-                if used[v]:
-                    continue
                 if nodes >= cap:
                     raise SearchExhausted(f"search reached its cap of {cap} nodes")
                 nodes += 1
@@ -185,18 +211,17 @@ class _Searcher:
                 hosts = hosts_of[v] if hosts_of else host_edges(pos, v)
                 if accept(hosts):
                     assignment[pos] = v
-                    used[v] = True
-                    if dfs(pos + 1):
+                    if dfs(pos + 1, unused ^ 1 << v):
                         return True
                     retract(len(hosts))
-                    used[v] = False
                     assignment[pos] = -1
             return False
 
         try:
-            return dfs(0)
+            return dfs(0, mask_of(base))
         finally:
             self.nodes = nodes
+            self.filtered_candidates = filtered
 
     def certificate(self, n: int, k: int) -> TransversalCertificate:
         """Colours by replay: the batch matching of the completed edges in
@@ -214,6 +239,8 @@ class _Searcher:
         stats = {
             "restarts": self.restarts,
             **{f"{phase}_nodes": count for phase, count in self.phase_nodes.items()},
+            "filtered_candidates": self.filtered_candidates,
+            "reflection_cuts": self.reflection_cuts,
             "hall_rejections": self.hall_rejections,
             "missing_edge_rejections": self.missing_edge_rejections,
         }
@@ -221,8 +248,10 @@ class _Searcher:
 
 
 def _coloured_searcher(C: Collection, budget: SearchBudget, schedule: Schedule) -> _Searcher:
+    neighbours = C.union_adjacency if C.k == 2 else None
     return _Searcher(
-        C.n, C.k, schedule, C.colour_masks, (1 << C.m) - 1, budget.node_limit, budget.time_limit
+        C.n, C.k, schedule, C.colour_masks, neighbours, (1 << C.m) - 1,
+        budget.node_limit, budget.time_limit,
     )
 
 
@@ -240,20 +269,26 @@ def _cycle_search(
     order per position: "asc" (exhaustive default), "flex" (most colour
     options on the completed edges first), or "random" (shuffled) — the
     latter two are find-fast heuristics for the restart phase."""
-    n = searcher.n
     step = link.step
-    orient = link.k == 2 and link.m == 2 and link.ell == 1
     masks = searcher.masks
     host_edges = searcher.host_edges
+    # reflection symmetry of the 2-uniform cycle: with vertex 0 pinned to
+    # position 0, only the orientation whose closing vertex (position n-1)
+    # lies below assignment[1] is searched; the closing vertex is an unused
+    # union-neighbour of vertex 0 until it is placed
+    zero_nbrs = searcher.neighbours[0] if link.k == 2 and link.m == 2 and link.ell == 1 else None
 
-    def arrange(pos: int, cands: list[int]) -> tuple[list[int], Optional[dict[int, list[Edge]]]]:
+    def arrange(pos: int, cands: list[int], unused: int) -> tuple[list[int], Optional[dict[int, list[Edge]]]]:
         assignment = searcher.assignment
         hosts_of = None
         if pos == 0 and step == 1:
             # rotational symmetry: with every position an anchor, vertex 0
             # can be pinned to position 0
-            cands = [0]
-        elif order == "flex" and pos > 0:
+            return [0], None
+        if zero_nbrs is not None and pos > 1 and not zero_nbrs & unused & ((1 << assignment[1]) - 1):
+            searcher.reflection_cuts += 1
+            return [], None
+        if order == "flex" and pos > 0:
             # most colour options on the completed edges first (ties at
             # random, then by vertex), keeping each candidate's host edges
             hosts_of = {}
@@ -271,15 +306,18 @@ def _cycle_search(
         if step > 1 and pos % step == 0 and pos > 0:
             # rotation by `step` could move a smaller anchor to position 0
             cands = [v for v in cands if v >= assignment[0]]
-        if orient and pos == n - 1:
-            # reflection symmetry of the 2-uniform cycle
-            cands = [v for v in cands if v <= assignment[1]]
+        if zero_nbrs is not None and pos == 1:
+            # after the ordering, so the survivors keep the order (and the
+            # rng draws) they would have without the rule
+            kept = [v for v in cands if zero_nbrs & ((1 << v) - 1)]
+            searcher.reflection_cuts += len(cands) - len(kept)
+            cands = kept
         return cands, hosts_of
 
     start = searcher.nodes
     searcher.cap = start + node_cap
     try:
-        return searcher.search(range(n), arrange)
+        return searcher.search(range(searcher.n), arrange)
     except SearchExhausted:
         if searcher.nodes > searcher.node_limit or searcher.elapsed() > searcher.time_limit:
             raise
@@ -403,7 +441,8 @@ def find_embedding(
     base = list(range(host.n))
     if rng is not None:
         rng.shuffle(base)
-    searcher = _Searcher(host.n, host.k, schedule, host.edges, node_limit=node_limit)
+    neighbours = host.adjacency if host.k == 2 else None
+    searcher = _Searcher(host.n, host.k, schedule, host.edges, neighbours, node_limit=node_limit)
     if not searcher.search(base):
         return None
     return [searcher.assignment[rank[v]] for v in range(pattern.n)]

@@ -77,11 +77,11 @@ def test_solve_exact_engine_with_trace(tmp_path, capsys):
     trace = json.loads(capsys.readouterr().out)["trace"]
     assert set(trace) == {
         "nodes", "restarts", "flex_nodes", "random_nodes", "asc_nodes",
-        "hall_rejections", "missing_edge_rejections",
+        "filtered_candidates", "reflection_cuts", "hall_rejections", "missing_edge_rejections",
     }
     assert all(isinstance(v, int) for v in trace.values())
     assert trace["flex_nodes"] + trace["random_nodes"] + trace["asc_nodes"] == trace["nodes"]
-    assert trace["restarts"] > 0 and trace["missing_edge_rejections"] > 0
+    assert trace["reflection_cuts"] > 0 and trace["filtered_candidates"] > 0
 
 
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):

@@ -48,6 +48,16 @@ def test_colours_of_lists_members_containing_edge():
     assert C.colours_of((0, 1)) == [0, 1]
 
 
+def test_union_adjacency_is_union_of_member_adjacency():
+    C = generate(GenSpec(n=12, k=2, m=5, delta_fraction=0.3, family="random", seed=3))
+    expected = [0] * C.n
+    for H in C.members:
+        expected = [a | b for a, b in zip(expected, H.adjacency)]
+    assert C.union_adjacency == tuple(expected)
+    with pytest.raises(InvalidInput):
+        Collection(4, 3, (Hypergraph.from_edges(4, 3, [(0, 1, 2)]),)).union_adjacency
+
+
 def test_verify_accepts_valid_cycle_certificate():
     n = 6
     C = all_complete(n, n)
@@ -121,6 +131,69 @@ def test_verify_rejects_wrong_shape():
     )
     res = verify_certificate(C, cert, single_edge_link(2, 1))
     assert not res and res.reason == "NotCycleShape"
+
+
+def single_edge_members(seq):
+    """Member i holds only edge i of the cycle through `seq`, so the cycle's
+    certificate is unique and each tampering below has one failing check."""
+    n = len(seq)
+    edges = [tuple(sorted((seq[i], seq[(i + 1) % n]))) for i in range(n)]
+    return Collection(n, 2, tuple(Hypergraph.from_edges(n, 2, [e]) for e in edges))
+
+
+def recolour_first_edge(target, phi):
+    # the last entry's colour lacks the first edge and is checked after it
+    return target, ((phi[0][0], phi[-1][1]),) + phi[1:]
+
+
+def swap_two_colours(target, phi):
+    (e0, c0), (e1, c1) = phi[:2]
+    return target, ((e0, c1), (e1, c0)) + phi[2:]
+
+
+def drop_edge_from_phi(target, phi):
+    return target, phi[1:]
+
+
+def drop_edge_from_copy(target, phi):
+    return Hypergraph(target.n, target.k, target.edges - {phi[0][0]}), phi[1:]
+
+
+def duplicate_edge(target, phi):
+    return target, phi + phi[:1]
+
+
+def relabel_two_vertices(target, phi):
+    swap = {2: 5, 5: 2}
+
+    def relabel(e):
+        return tuple(sorted(swap.get(v, v) for v in e))
+
+    moved = Hypergraph(target.n, target.k, frozenset(map(relabel, target.edges)))
+    return moved, tuple(sorted((relabel(e), c) for e, c in phi))
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [
+        (recolour_first_edge, "EdgeNotInColour"),
+        (swap_two_colours, "EdgeNotInColour"),
+        (drop_edge_from_phi, "PhiDomainMismatch"),
+        (drop_edge_from_copy, "NotCycleShape"),
+        (duplicate_edge, "PhiDomainMismatch"),
+        (relabel_two_vertices, "EdgeNotInColour"),
+    ],
+)
+def test_verify_rejects_tampered_solver_certificate(tamper, reason):
+    from transversals.exact import find_transversal_cycle
+
+    link = single_edge_link(2, 1)
+    C = single_edge_members([0, 3, 6, 1, 5, 2, 4])
+    res = find_transversal_cycle(C, link)
+    assert res.status == "found" and verify_certificate(C, res.certificate, link)
+    target, phi = tamper(res.certificate.target, res.certificate.phi)
+    check = verify_certificate(C, TransversalCertificate(target, phi), link)
+    assert not check and check.reason == reason
 
 
 def test_is_cycle_copy_relabelled():
