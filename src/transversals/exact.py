@@ -7,7 +7,8 @@ neighbour bitsets, so a vertex that would complete a non-edge is never
 tried.  Colours are never branched on; a maintained incremental matching
 over the collection's colour bitsets prunes exactly on Hall feasibility,
 and a found certificate's colours come from replaying the completed edges
-through the batch matching.
+through the batch matching.  A memo of dead states records every subtree
+that failed, so no failed subtree is searched twice within one call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .rng import rng_for
 FOUND = "found"
 NONE = "none"
 EXHAUSTED = "exhausted"
+
+# The most dead states one searcher records; a full memo stops recording and
+# evicts nothing, so a search's memory stays bounded.
+_MEMO_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,18 @@ class SearchResult:
     `reflection_cuts` (candidates at position 1, and branches from
     position 2 on, refused by the reflection rule of the 2-uniform cycle),
     `hall_rejections` (candidates whose completed edges admit no rainbow
-    colouring) and `missing_edge_rejections` (candidates completing an edge
-    no usable colour holds; for k = 2 only a colour subset leaves any)."""
+    colouring), `missing_edge_rejections` (candidates completing an edge
+    no usable colour holds; for k = 2 only a colour subset leaves any),
+    `memo_hits` and `memo_colour_hits` (subtrees not searched again because
+    their structural or colour key was recorded dead) and `memo_states`
+    (dead states recorded).  A structural key is the unused vertices plus
+    the vertices at the filled positions the rest of the search reads; it
+    is recorded when nothing beneath the subtree was rejected for a colour
+    reason (Hall, a missing edge, or a colour-key hit), so the failure holds
+    for every matcher state.  Otherwise the colour key is recorded: the
+    structural key plus the multiset of pushed colour bitsets, which alone
+    decides every later push, because a push succeeds iff the multiset stays
+    perfectly matchable (Hall)."""
 
     status: str
     certificate: Optional[TransversalCertificate] = None
@@ -82,6 +97,27 @@ def _completion_schedule(edges: Iterable[tuple[int, ...]], positions: int, k: in
     return schedule
 
 
+def _key_layout(
+    schedule: Schedule, pairs: bool, n: int, reads: Sequence[int]
+) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+    """Where the memo key of each position keeps its filled-position
+    vertices: for each pos, (position, bit shift) per filled position that a
+    schedule entry from pos on, or `reads`, refers to.  The `unused` bitmask
+    takes the low n bits and each vertex the next n.bit_length() bits; also
+    returns the key's total width."""
+    width = n.bit_length()
+    live: list[tuple[tuple[int, int], ...]] = []
+    needed = set(reads)
+    for pos in range(len(schedule), -1, -1):
+        if pos < len(schedule):
+            for entry in schedule[pos]:
+                needed.update((entry,) if pairs else entry)
+        filled = sorted(p for p in needed if p < pos)
+        live.append(tuple((p, n + i * width) for i, p in enumerate(filled)))
+    live.reverse()
+    return live, n + max(map(len, live)) * width
+
+
 class _Searcher:
     """The one backtracking engine: fill the schedule's positions with host
     vertices, completing each structure edge when its last position is
@@ -100,7 +136,22 @@ class _Searcher:
 
     Every candidate tried is one node.  Running past `node_limit`,
     `time_limit` (checked every 4096 nodes) or the per-sweep `cap` raises
-    SearchExhausted; the cap is checked before the node is counted."""
+    SearchExhausted; the cap is checked before the node is counted.
+
+    A subtree that fails is recorded dead in `dead` under an int key of
+    everything the rest of the search reads, and a search that meets the key
+    again returns at once.  The structural key is the `unused` bitmask plus
+    the vertices at the filled positions that later schedule entries or
+    `arrange` read; it is recorded only when no colour reason (a Hall or
+    missing-edge rejection, or a colour-key hit) rejected anything beneath
+    the subtree, since such a failure holds for every matcher state.
+    Otherwise the colour key is recorded: the structural key plus the sorted
+    pushed colour bitsets, which fix the matcher's future because a push
+    succeeds iff the pushed multiset stays perfectly matchable.  A colour
+    hit counts as a colour reason for every enclosing subtree.  Neither key
+    depends on candidate order, so the sweeps of one cycle search share the
+    memo; every search of one searcher must use the same `base`.  The memo
+    holds at most `_MEMO_CAP` keys and lives as long as the searcher."""
 
     def __init__(
         self,
@@ -132,6 +183,10 @@ class _Searcher:
         self.reflection_cuts = 0
         self.hall_rejections = 0
         self.missing_edge_rejections = 0
+        self.dead: set[int] = set()  # keys of failed subtrees, structural and colour
+        self.coloured: set[int] = set()  # structural keys with a colour record
+        self.memo_hits = 0
+        self.memo_colour_hits = 0
 
     def host_edges(self, pos: int, v: int) -> list[Edge]:
         """The host edges completed by putting host vertex v at `pos`."""
@@ -147,9 +202,10 @@ class _Searcher:
         filter.  `arrange(pos, cands, unused)`, when given, returns the
         candidates to try instead (reordered, filtered) and a dict of their
         host edges or None; `unused` is the bitmask of unplaced vertices of
-        `base`.  True leaves the filled positions in `assignment` and, when
-        coloured, the completed edges in `edge_stack`; False means the space
-        is exhausted."""
+        `base`, and besides it `arrange` may read only positions 0 and 1 of
+        `assignment`, which then join every memo key.  True leaves the
+        filled positions in `assignment` and, when coloured, the completed
+        edges in `edge_stack`; False means the space is exhausted."""
         schedule = self.schedule
         positions = len(schedule)
         assignment = self.assignment = [-1] * positions
@@ -162,12 +218,25 @@ class _Searcher:
         node_limit, time_limit, cap = self.node_limit, self.time_limit, self.cap
         nodes = self.nodes
         filtered = self.filtered_candidates
+        dead, coloured, memo_cap = self.dead, self.coloured, _MEMO_CAP
+        hits, colour_hits = self.memo_hits, self.memo_colour_hits
+        live, key_bits = _key_layout(schedule, self.pairs, self.n, (0, 1) if arrange else ())
+        tainted = 0  # colour reasons met so far: Hall and missing-edge rejections, colour hits
+
+        def colour_key(key: int) -> int:
+            packed = 1  # a sentinel bit keeps colour keys apart from structural ones
+            width = sel.bit_length()
+            for mask in sorted(matcher.masks):
+                packed = packed << width | mask
+            return packed << key_bits | key
 
         def push_all(hosts: list[Edge]) -> bool:
+            nonlocal tainted
             get = masks.get
             pushed = [get(host, 0) & sel for host in hosts]
             if not all(pushed):
                 self.missing_edge_rejections += 1
+                tainted += 1
                 return False
             push = matcher.push
             for count, mask in enumerate(pushed):
@@ -175,6 +244,7 @@ class _Searcher:
                     for _ in range(count):
                         matcher.pop()
                     self.hall_rejections += 1
+                    tainted += 1
                     return False
             edge_stack.extend(hosts)
             return True
@@ -188,9 +258,20 @@ class _Searcher:
         accept = masks.issuperset if matcher is None else push_all
 
         def dfs(pos: int, unused: int) -> bool:
-            nonlocal nodes, filtered
+            nonlocal nodes, filtered, hits, colour_hits, tainted
             if pos == positions:
                 return True
+            key = unused
+            for p, shift in live[pos]:
+                key |= assignment[p] << shift
+            if key in dead:
+                hits += 1
+                return False
+            if key in coloured and colour_key(key) in dead:
+                colour_hits += 1
+                tainted += 1
+                return False
+            before = tainted
             allowed = unused
             if neighbours is not None:
                 for p in schedule[pos]:
@@ -215,13 +296,23 @@ class _Searcher:
                         return True
                     retract(len(hosts))
                     assignment[pos] = -1
+            if len(dead) < memo_cap:
+                if tainted == before:
+                    dead.add(key)
+                else:
+                    dead.add(colour_key(key))
+                    coloured.add(key)
             return False
 
         try:
             return dfs(0, mask_of(base))
         finally:
+            # dfs reaches itself through its closure; breaking that cycle lets
+            # reference counting free the searcher and its memo with the caller
+            dfs = None
             self.nodes = nodes
             self.filtered_candidates = filtered
+            self.memo_hits, self.memo_colour_hits = hits, colour_hits
 
     def certificate(self, n: int, k: int) -> TransversalCertificate:
         """Colours by replay: the batch matching of the completed edges in
@@ -243,6 +334,9 @@ class _Searcher:
             "reflection_cuts": self.reflection_cuts,
             "hall_rejections": self.hall_rejections,
             "missing_edge_rejections": self.missing_edge_rejections,
+            "memo_hits": self.memo_hits,
+            "memo_colour_hits": self.memo_colour_hits,
+            "memo_states": len(self.dead),
         }
         return SearchResult(status, certificate, self.nodes, self.elapsed(), stats)
 
@@ -334,8 +428,9 @@ def find_transversal_cycle(
     Runs a few flexibility-ordered restarts with growing node caps (these
     can only produce a verified certificate or a definitive exhaustion of
     the space), then sweeps the space in plain ascending order with the
-    remaining budget.  found/none are definitive; exhausted means the
-    budget ran out first."""
+    remaining budget.  All sweeps share one searcher and so its dead-state
+    memo: a later sweep skips every subtree an earlier one saw fail.
+    found/none are definitive; exhausted means the budget ran out first."""
     n = C.n
     required = cycle_counts(link, n)
     if C.m != required:

@@ -203,6 +203,7 @@ def test_partition_sizes_mismatch():
         degree_preserving_partition(C, (4, 4), alpha=0.2, seed=5)
 
 
+@pytest.mark.slow
 def test_partition_acceptance_rate_at_scale():
     # empirical check on the standard setting: 40 vertices, 10 dense
     # members, an even split; acceptance within 5 retries nearly always

@@ -202,6 +202,7 @@ def test_6_colour_absorbers_verified_exhaustively():
                 assert ab.A <= set(cert.colours())
 
 
+@pytest.mark.slow
 def test_7_pipeline_end_to_end():
     with Stopwatch(600.0):
         successes = 0

@@ -78,6 +78,7 @@ def test_solve_exact_engine_with_trace(tmp_path, capsys):
     assert set(trace) == {
         "nodes", "restarts", "flex_nodes", "random_nodes", "asc_nodes",
         "filtered_candidates", "reflection_cuts", "hall_rejections", "missing_edge_rejections",
+        "memo_hits", "memo_colour_hits", "memo_states",
     }
     assert all(isinstance(v, int) for v in trace.values())
     assert trace["flex_nodes"] + trace["random_nodes"] + trace["asc_nodes"] == trace["nodes"]

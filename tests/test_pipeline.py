@@ -27,6 +27,7 @@ def dense_instance(n, seed):
     )
 
 
+@pytest.mark.slow
 def test_pipeline_solves_dense_instance():
     C = dense_instance(80, seed=0)
     run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=0))
@@ -34,6 +35,7 @@ def test_pipeline_solves_dense_instance():
     assert verify_certificate(C, run.certificate, LINK21)
 
 
+@pytest.mark.slow
 def test_pipeline_trace_has_all_steps():
     C = dense_instance(80, seed=1)
     run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=1))
@@ -80,6 +82,7 @@ def test_pipeline_agrees_with_exact_oracle_small_n():
         assert bool(run) == (exact.status == "found")
 
 
+@pytest.mark.slow
 def test_pipeline_is_deterministic():
     C = dense_instance(80, seed=3)
     a = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=3))
