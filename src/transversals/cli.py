@@ -1,7 +1,8 @@
 """Command-line front end: generate instances, solve, verify, and scan.
 
 Exit codes: 0 success (or verified), 1 definitive negative, 2 budget
-exhausted or heuristic failure, 3 usage error.
+exhausted or heuristic failure, 3 usage error, malformed input or a file
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ def _scan_trial(payload) -> tuple[str, float]:
 def cmd_scan(args) -> int:
     link = builtin_link(args.link)
     m = args.m if args.m is not None else cycle_counts(link, args.n)
+    if not args.delta_step > 0:
+        raise InvalidInput(f"--delta-step must be positive, got {args.delta_step}")
     deltas = []
     d = args.delta_from
     while d <= args.delta_to + 1e-9:
@@ -169,7 +172,7 @@ def cmd_scan(args) -> int:
             for trial in range(args.trials)
         ]
         if args.jobs > 1 and payloads:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
                 outcomes = list(pool.map(_scan_trial, payloads))
         else:
             outcomes = [_scan_trial(p) for p in payloads]
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
     except TransversalsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

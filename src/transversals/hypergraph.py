@@ -191,5 +191,47 @@ def mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
+def transpose(matrices: Iterable[Sequence[int]], width: int) -> Iterator[list[int]]:
+    """Transposes of square bit matrices, one per input matrix, in order.
+
+    A matrix is a sequence of at most `width` rows, each an int in
+    [0, 2**width); missing rows read as zero.  Its transpose is the list of
+    its `width` columns: bit i of column j is bit j of row i.  A negative
+    row, a row with a bit at or above `width`, or more than `width` rows
+    raises InvalidInput.
+
+    Each matrix is packed into one int of side P, the least power of two
+    >= width (at least 8, so rows are whole bytes), and transposed by
+    log2(P) delta swaps (Warren, Hacker's Delight, section 7-3): the swap at
+    level s exchanges bit s of the row and of the column index of every
+    bit.  The swap masks depend only on P, so they are built once per call.
+    """
+    side = max(8, 1 << max(width - 1, 0).bit_length())
+    row_bytes = side // 8
+    zero_row = bytes(row_bytes)
+    swaps = []
+    s = side // 2
+    while s:
+        # bit (i, j) with bit s clear in i and set in j; its partner (i+s, j-s)
+        # lies s*(side-1) positions higher
+        cols = mask_of(j for j in range(side) if j & s).to_bytes(row_bytes, "little")
+        mask = b"".join(zero_row if i & s else cols for i in range(side))
+        swaps.append((s * (side - 1), int.from_bytes(mask, "little")))
+        s //= 2
+    from_bytes = int.from_bytes
+    for rows in matrices:
+        if len(rows) > width or rows and (min(rows) < 0 or max(rows) >> width):
+            raise InvalidInput(f"rows do not form a bit matrix of width {width}")
+        x = from_bytes(b"".join([r.to_bytes(row_bytes, "little") for r in rows]), "little")
+        for delta, mask in swaps:
+            t = (x ^ (x >> delta)) & mask
+            x ^= t ^ (t << delta)
+        packed = x.to_bytes(side * row_bytes, "little")
+        yield [
+            from_bytes(packed[o:o + row_bytes], "little")
+            for o in range(0, width * row_bytes, row_bytes)
+        ]
+
+
 def all_d_sets(n: int, d: int) -> Iterator[Edge]:
     return itertools.combinations(range(n), d)

@@ -168,3 +168,53 @@ def test_scan_jobs_deterministic(tmp_path):
         {k: v for k, v in r.items() if k != "mean_time"} for r in rows
     ]
     assert drop_time(read_scan(seq)) == drop_time(read_scan(par))
+
+
+def test_directory_paths_exit_3(tmp_path, capsys):
+    inst = run_gen(tmp_path, "inst.json", "--family", "random", "--n", "8",
+                   "--delta", "0.7", "--seed", "4")
+    for argv in (
+        ["solve", "--in", str(tmp_path)],
+        ["verify", "--in", str(inst), "--cert", str(tmp_path)],
+        ["gen", "--family", "random", "--n", "6", "--out", str(tmp_path)],
+        ["scan", "--n", "8", "--delta-from", "0.4", "--delta-to", "0.4",
+         "--trials", "1", "--out", str(tmp_path)],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_scan_rejects_non_positive_delta_step(capsys):
+    for step in ("0", "-0.1", "nan"):
+        argv = ["scan", "--n", "8", "--delta-from", "0.3", "--delta-to", "0.5",
+                "--delta-step", step, "--trials", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "--delta-step" in capsys.readouterr().err
+
+
+def test_scan_caps_workers_at_trials(tmp_path, monkeypatch):
+    import transversals.cli as cli
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--n", "8", "--delta-from", "0.4", "--delta-to", "0.5",
+                 "--delta-step", "0.1", "--trials", "3", "--jobs", "1000",
+                 "--out", str(out)]) == EXIT_SUCCESS
+    assert requested == [3, 3]
+    assert [r["trials"] for r in read_scan(out)] == ["3", "3"]

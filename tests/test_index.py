@@ -1,6 +1,7 @@
 """The cached bitset views (`Hypergraph.adjacency`, `Collection.colour_masks`)
 and every path routed through them, against brute-force references."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from transversals.absorb import _partition_audit
 from transversals.collection import Collection, threshold_hypergraph
 from transversals.errors import InvalidInput
+from transversals.gen import dirac_extremal
 from transversals.hypergraph import (
     Hypergraph,
     bits,
@@ -19,6 +21,7 @@ from transversals.hypergraph import (
     mask_of,
     min_degree_d,
     neighbour_sets,
+    transpose,
 )
 
 
@@ -159,3 +162,98 @@ def test_threshold_rejects_colours_out_of_range():
         threshold_hypergraph(C, [1], 1)
     with pytest.raises(InvalidInput):
         threshold_hypergraph(C, [-1], 1)
+
+
+def reference_colour_masks(C):
+    """The per-edge build: one pass over every member's edges."""
+    masks = {}
+    for i, H in enumerate(C.members):
+        for e in H.edges:
+            masks[e] = masks.get(e, 0) | 1 << i
+    return masks
+
+
+def reference_union_adjacency(C):
+    adj = [0] * C.n
+    for H in C.members:
+        for u, v in H.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def random_graph(n, p, rng):
+    return Hypergraph(n, 2, frozenset(e for e in combinations(range(n), 2) if rng.random() < p))
+
+
+# each side of every padding width the k = 2 transpose uses (8, 16, 32, 64,
+# 128, 256), with fewer and with more members than vertices
+SIZES = [1, 2, 3, 8, 9, 16, 17, 64, 65, 129]
+SHAPES = [shape for a, b in zip(SIZES, SIZES[1:]) for shape in ((a, b), (b, a))]
+
+
+@pytest.mark.parametrize("n,m", SHAPES + [(1, 1), (9, 9), (65, 65)])
+def test_k2_colour_masks_match_per_edge_build(n, m):
+    rng = random.Random(f"{n}/{m}")
+    # half, empty, sparse and complete members, then random densities; member
+    # 0 is half full, so some keys are its edge tuples and some are fresh
+    densities = [0.5, 0.0, 0.05, 1.0] + [rng.random() for _ in range(m)]
+    C = Collection(n, 2, tuple(random_graph(n, densities[i], rng) for i in range(m)))
+    assert dict(C.colour_masks) == reference_colour_masks(C)
+    assert C.union_adjacency == reference_union_adjacency(C)
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (5, 0), (70, 0)])
+def test_k2_views_of_degenerate_collections(n, m):
+    C = Collection(n, 2, tuple(Hypergraph(n, 2, frozenset()) for _ in range(m)))
+    assert dict(C.colour_masks) == {}
+    assert C.union_adjacency == (0,) * n
+
+
+@pytest.mark.parametrize("n", [6, 9, 17])
+def test_k2_colour_masks_of_a_repeated_member(n):
+    C = dirac_extremal(n)
+    assert len({id(H) for H in C.members}) < C.m  # one object, several colours
+    assert dict(C.colour_masks) == reference_colour_masks(C)
+    assert C.union_adjacency == reference_union_adjacency(C)
+
+
+def brute_transpose(rows, width):
+    return [sum((rows[i] >> j & 1) << i for i in range(len(rows))) for j in range(width)]
+
+
+@st.composite
+def bit_matrices(draw):
+    width = draw(st.integers(0, 140))
+    rows = draw(st.lists(st.integers(0, 2**width - 1), max_size=width))
+    return rows, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_transpose_matches_definition_and_inverts(matrix):
+    rows, width = matrix
+    (cols,) = transpose([rows], width)
+    assert len(cols) == width  # one entry per column, whatever the row count
+    assert cols == brute_transpose(rows, width)
+    (back,) = transpose([cols], width)
+    assert back == rows + [0] * (width - len(rows))  # missing rows read as zero
+
+
+def test_transpose_of_several_matrices_and_zero_rows():
+    a, b = [0b101, 0b011], [0, 0, 0]
+    assert list(transpose([a, b, []], 3)) == [[0b11, 0b10, 0b01], [0, 0, 0], [0, 0, 0]]
+    assert list(transpose([], 5)) == []
+    assert list(transpose([[]], 0)) == [[]]
+
+
+@pytest.mark.parametrize("rows,width", [
+    ([1 << 5], 5),  # a bit at the width: it would be column 5 of 5
+    ([1 << 9], 5),  # past the power-of-two padding too
+    ([1 << 64], 64),
+    ([-1], 5),
+    ([0] * 6, 5),  # more rows than columns
+])
+def test_transpose_rejects_rows_outside_the_matrix(rows, width):
+    with pytest.raises(InvalidInput):
+        list(transpose([rows], width))
