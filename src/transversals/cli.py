@@ -155,39 +155,7 @@ def cmd_scan(args) -> int:
     while d <= args.delta_to + 1e-9:
         deltas.append(round(d, 10))
         d += args.delta_step
-    rows = []
-    for di, delta in enumerate(deltas):
-        payloads = [
-            (
-                args.n,
-                args.k,
-                m,
-                args.link,
-                delta,
-                args.engine,
-                split(args.seed, "scan", di, trial),
-                args.budget_nodes,
-                args.budget_secs,
-            )
-            for trial in range(args.trials)
-        ]
-        if args.jobs > 1 and payloads:
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
-                outcomes = list(pool.map(_scan_trial, payloads))
-        else:
-            outcomes = [_scan_trial(p) for p in payloads]
-        statuses = [s for s, _ in outcomes]
-        times = [t for _, t in outcomes]
-        rows.append(
-            {
-                "delta": delta,
-                "trials": args.trials,
-                "successes": statuses.count(FOUND),
-                "nones": statuses.count(NONE),
-                "exhausted": statuses.count(EXHAUSTED),
-                "mean_time": round(sum(times) / len(times), 4) if times else 0.0,
-            }
-        )
+    # an unwritable --out fails here, before the first trial runs
     out = args.out or None
     fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
@@ -195,8 +163,38 @@ def cmd_scan(args) -> int:
             fh, fieldnames=["delta", "trials", "successes", "nones", "exhausted", "mean_time"]
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        for di, delta in enumerate(deltas):
+            payloads = [
+                (
+                    args.n,
+                    args.k,
+                    m,
+                    args.link,
+                    delta,
+                    args.engine,
+                    split(args.seed, "scan", di, trial),
+                    args.budget_nodes,
+                    args.budget_secs,
+                )
+                for trial in range(args.trials)
+            ]
+            if args.jobs > 1 and payloads:
+                with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
+                    outcomes = list(pool.map(_scan_trial, payloads))
+            else:
+                outcomes = [_scan_trial(p) for p in payloads]
+            statuses = [s for s, _ in outcomes]
+            times = [t for _, t in outcomes]
+            writer.writerow(
+                {
+                    "delta": delta,
+                    "trials": args.trials,
+                    "successes": statuses.count(FOUND),
+                    "nones": statuses.count(NONE),
+                    "exhausted": statuses.count(EXHAUSTED),
+                    "mean_time": round(sum(times) / len(times), 4) if times else 0.0,
+                }
+            )
     finally:
         if out:
             fh.close()

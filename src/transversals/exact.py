@@ -9,6 +9,9 @@ over the collection's colour bitsets prunes exactly on Hall feasibility,
 and a found certificate's colours come from replaying the completed edges
 through the batch matching.  A memo of dead states records every subtree
 that failed, so no failed subtree is searched twice within one call.
+Placements that differ only by a symmetry of the target are searched once:
+the cycle search pins and orients the cycle, and the pattern search places
+each class of interchangeable pattern vertices in increasing host order.
 """
 
 from __future__ import annotations
@@ -58,16 +61,19 @@ class SearchResult:
     k = 2 neighbour-bitset filter skipped; not nodes),
     `reflection_cuts` (candidates at position 1, and branches from
     position 2 on, refused by the reflection rule of the 2-uniform cycle),
+    `symmetry_cuts` (candidates the twin rule of the pattern search refused
+    because they lie below the host of an earlier twin; not nodes),
     `hall_rejections` (candidates whose completed edges admit no rainbow
     colouring), `missing_edge_rejections` (candidates completing an edge
     no usable colour holds; for k = 2 only a colour subset leaves any),
     `memo_hits` and `memo_colour_hits` (subtrees not searched again because
     their structural or colour key was recorded dead) and `memo_states`
-    (dead states recorded).  A structural key is the unused vertices plus
-    the vertices at the filled positions the rest of the search reads; it
-    is recorded when nothing beneath the subtree was rejected for a colour
-    reason (Hall, a missing edge, or a colour-key hit), so the failure holds
-    for every matcher state.  Otherwise the colour key is recorded: the
+    (dead states recorded).  A structural key holds everything the search
+    beneath it reads: the unused vertices, the vertices at the filled
+    positions that later edges or twin rules read, and what the cycle's
+    symmetry rules read.  It is recorded when nothing beneath the subtree
+    was rejected for a colour reason (Hall, a missing edge, or a colour-key
+    hit), so the failure holds for every matcher state.  Otherwise the colour key is recorded: the
     structural key plus the multiset of pushed colour bitsets, which alone
     decides every later push, because a push succeeds iff the multiset stays
     perfectly matchable (Hall)."""
@@ -98,20 +104,26 @@ def _completion_schedule(edges: Iterable[tuple[int, ...]], positions: int, k: in
 
 
 def _key_layout(
-    schedule: Schedule, pairs: bool, n: int, reads: Sequence[int]
+    schedule: Schedule, pairs: bool, n: int, ordered: Sequence[tuple[int, int]]
 ) -> tuple[list[tuple[tuple[int, int], ...]], int]:
     """Where the memo key of each position keeps its filled-position
     vertices: for each pos, (position, bit shift) per filled position that a
-    schedule entry from pos on, or `reads`, refers to.  The `unused` bitmask
-    takes the low n bits and each vertex the next n.bit_length() bits; also
-    returns the key's total width."""
+    schedule entry from pos on refers to, or that a pair (p, q) of `ordered`
+    with q >= pos names as p (the twin rule reads p when it fills q).  The
+    `unused` bitmask takes the low n bits and each vertex the next
+    n.bit_length() bits; also returns the width of this part of the key."""
     width = n.bit_length()
+    read_at: list[list[int]] = [[] for _ in schedule]
+    for pos, entries in enumerate(schedule):
+        for entry in entries:
+            read_at[pos].extend((entry,) if pairs else entry)
+    for p, q in ordered:
+        read_at[q].append(p)
     live: list[tuple[tuple[int, int], ...]] = []
-    needed = set(reads)
+    needed: set[int] = set()
     for pos in range(len(schedule), -1, -1):
         if pos < len(schedule):
-            for entry in schedule[pos]:
-                needed.update((entry,) if pairs else entry)
+            needed.update(read_at[pos])
         filled = sorted(p for p in needed if p < pos)
         live.append(tuple((p, n + i * width) for i, p in enumerate(filled)))
     live.reverse()
@@ -134,17 +146,22 @@ class _Searcher:
     placed there; for k >= 3 it is None and every unused vertex is a
     candidate.
 
+    A search may order twin positions: for each pair (p, q) of `ordered`,
+    the host at q must lie above the host at p.  The candidates below it
+    are refused without counting a node and are counted in `symmetry_cuts`.
+
     Every candidate tried is one node.  Running past `node_limit`,
     `time_limit` (checked every 4096 nodes) or the per-sweep `cap` raises
     SearchExhausted; the cap is checked before the node is counted.
 
     A subtree that fails is recorded dead in `dead` under an int key of
     everything the rest of the search reads, and a search that meets the key
-    again returns at once.  The structural key is the `unused` bitmask plus
-    the vertices at the filled positions that later schedule entries or
-    `arrange` read; it is recorded only when no colour reason (a Hall or
-    missing-edge rejection, or a colour-key hit) rejected anything beneath
-    the subtree, since such a failure holds for every matcher state.
+    again returns at once.  A key holds everything read beneath it.  The
+    structural key is the `unused` bitmask, the vertices at the filled
+    positions that later schedule entries or twin pairs read, and above them
+    what `reads` says the `arrange` hook reads.  It is recorded only when no
+    colour reason (a Hall or missing-edge rejection, or a colour-key hit)
+    rejected anything beneath the subtree, since such a failure holds for every matcher state.
     Otherwise the colour key is recorded: the structural key plus the sorted
     pushed colour bitsets, which fix the matcher's future because a push
     succeeds iff the pushed multiset stays perfectly matchable.  A colour
@@ -181,6 +198,7 @@ class _Searcher:
         self.phase_nodes = {"flex": 0, "random": 0, "asc": 0}
         self.filtered_candidates = 0
         self.reflection_cuts = 0
+        self.symmetry_cuts = 0
         self.hall_rejections = 0
         self.missing_edge_rejections = 0
         self.dead: set[int] = set()  # keys of failed subtrees, structural and colour
@@ -196,16 +214,25 @@ class _Searcher:
         get = assignment.__getitem__
         return [tuple(sorted([v, *map(get, others)])) for others in self.schedule[pos]]
 
-    def search(self, base: Sequence[int], arrange: Optional[Callable] = None) -> bool:
+    def search(
+        self,
+        base: Sequence[int],
+        arrange: Optional[Callable] = None,
+        reads: Optional[Callable[[int, int], int]] = None,
+        ordered: Sequence[tuple[int, int]] = (),
+    ) -> bool:
         """Depth-first over the positions; candidates at each position are
         the unused vertices of `base` in its order that pass the neighbour
-        filter.  `arrange(pos, cands, unused)`, when given, returns the
-        candidates to try instead (reordered, filtered) and a dict of their
-        host edges or None; `unused` is the bitmask of unplaced vertices of
-        `base`, and besides it `arrange` may read only positions 0 and 1 of
-        `assignment`, which then join every memo key.  True leaves the
-        filled positions in `assignment` and, when coloured, the completed
-        edges in `edge_stack`; False means the space is exhausted."""
+        filter and the twin rule of `ordered`.  `arrange(pos, cands,
+        unused)`, when given, returns the candidates to try instead
+        (reordered, filtered) and a dict of their host edges or None;
+        `unused` is the bitmask of unplaced vertices of `base`.  Whatever
+        `arrange` reads at pos and beneath it besides `unused`, the rng and
+        the positions the schedule reads, `reads(pos, unused)` must return,
+        packed into an int below 2**n; it joins the memo key.  True leaves
+        the filled positions in `assignment` and, when coloured, the
+        completed edges in `edge_stack`; False means the space is
+        exhausted."""
         schedule = self.schedule
         positions = len(schedule)
         assignment = self.assignment = [-1] * positions
@@ -220,7 +247,12 @@ class _Searcher:
         filtered = self.filtered_candidates
         dead, coloured, memo_cap = self.dead, self.coloured, _MEMO_CAP
         hits, colour_hits = self.memo_hits, self.memo_colour_hits
-        live, key_bits = _key_layout(schedule, self.pairs, self.n, (0, 1) if arrange else ())
+        symmetry_cuts = self.symmetry_cuts
+        floor = [-1] * positions  # floor[q] = p: the host at q lies above the host at p
+        for p, q in ordered:
+            floor[q] = p
+        live, reads_shift = _key_layout(schedule, self.pairs, self.n, ordered)
+        key_bits = reads_shift + (self.n if reads else 0)
         tainted = 0  # colour reasons met so far: Hall and missing-edge rejections, colour hits
 
         def colour_key(key: int) -> int:
@@ -258,12 +290,14 @@ class _Searcher:
         accept = masks.issuperset if matcher is None else push_all
 
         def dfs(pos: int, unused: int) -> bool:
-            nonlocal nodes, filtered, hits, colour_hits, tainted
+            nonlocal nodes, filtered, hits, colour_hits, tainted, symmetry_cuts
             if pos == positions:
                 return True
             key = unused
             for p, shift in live[pos]:
                 key |= assignment[p] << shift
+            if reads is not None:
+                key |= reads(pos, unused) << reads_shift
             if key in dead:
                 hits += 1
                 return False
@@ -277,6 +311,10 @@ class _Searcher:
                 for p in schedule[pos]:
                     allowed &= neighbours[assignment[p]]
                 filtered += (unused ^ allowed).bit_count()
+            if floor[pos] >= 0:
+                below = allowed & ((1 << assignment[floor[pos]]) - 1)
+                symmetry_cuts += below.bit_count()
+                allowed ^= below
             cands = [v for v in base if allowed >> v & 1]
             hosts_of = None
             if arrange is not None:
@@ -312,6 +350,7 @@ class _Searcher:
             dfs = None
             self.nodes = nodes
             self.filtered_candidates = filtered
+            self.symmetry_cuts = symmetry_cuts
             self.memo_hits, self.memo_colour_hits = hits, colour_hits
 
     def certificate(self, n: int, k: int) -> TransversalCertificate:
@@ -332,6 +371,7 @@ class _Searcher:
             **{f"{phase}_nodes": count for phase, count in self.phase_nodes.items()},
             "filtered_candidates": self.filtered_candidates,
             "reflection_cuts": self.reflection_cuts,
+            "symmetry_cuts": self.symmetry_cuts,
             "hall_rejections": self.hall_rejections,
             "missing_edge_rejections": self.missing_edge_rejections,
             "memo_hits": self.memo_hits,
@@ -371,6 +411,17 @@ def _cycle_search(
     # lies below assignment[1] is searched; the closing vertex is an unused
     # union-neighbour of vertex 0 until it is placed
     zero_nbrs = searcher.neighbours[0] if link.k == 2 and link.m == 2 and link.ell == 1 else None
+    reads = None
+    if zero_nbrs is not None:
+        def reads(pos: int, unused: int) -> int:
+            # from position 2 on, the reflection rule reads assignment[1]
+            # only through these unused neighbours of vertex 0 below it;
+            # deeper positions read them less what is placed meanwhile, so
+            # they and `unused` cover every later read
+            return zero_nbrs & unused & ((1 << searcher.assignment[1]) - 1) if pos > 1 else 0
+    elif step > 1:
+        def reads(pos: int, unused: int) -> int:
+            return searcher.assignment[0] if pos > 0 else 0
 
     def arrange(pos: int, cands: list[int], unused: int) -> tuple[list[int], Optional[dict[int, list[Edge]]]]:
         assignment = searcher.assignment
@@ -379,7 +430,7 @@ def _cycle_search(
             # rotational symmetry: with every position an anchor, vertex 0
             # can be pinned to position 0
             return [0], None
-        if zero_nbrs is not None and pos > 1 and not zero_nbrs & unused & ((1 << assignment[1]) - 1):
+        if zero_nbrs is not None and pos > 1 and not reads(pos, unused):
             searcher.reflection_cuts += 1
             return [], None
         if order == "flex" and pos > 0:
@@ -411,7 +462,7 @@ def _cycle_search(
     start = searcher.nodes
     searcher.cap = start + node_cap
     try:
-        return searcher.search(range(searcher.n), arrange)
+        return searcher.search(range(searcher.n), arrange, reads)
     except SearchExhausted:
         if searcher.nodes > searcher.node_limit or searcher.elapsed() > searcher.time_limit:
             raise
@@ -476,9 +527,17 @@ def find_transversal_subgraph(
         )
     if F.k != C.k:
         raise InvalidInput("pattern uniformity differs from the collection")
-    searcher = _coloured_searcher(C, budget, _pattern_schedule(F)[1])
+    rank, schedule = _pattern_schedule(F)
+    searcher = _coloured_searcher(C, budget, schedule)
+    # the hosts of twin pattern vertices are interchangeable, so each class
+    # takes them in increasing order; the ascending sweep's first copy
+    # already does, so only node counts fall
+    ordered = []
+    for twins in _twin_classes(F):
+        placed = sorted(rank[v] for v in twins)
+        ordered.extend(zip(placed, placed[1:]))
     try:
-        hit: Optional[bool] = searcher.search(range(C.n))
+        hit: Optional[bool] = searcher.search(range(C.n), ordered=ordered)
     except SearchExhausted:
         hit = None
     searcher.phase_nodes["asc"] = searcher.nodes  # a single ascending sweep
@@ -491,6 +550,33 @@ def find_transversal_subgraph(
             raise AssertionError(f"solver produced an invalid certificate: {check.reason}")
         return searcher.result(FOUND, cert)
     return searcher.result(NONE)
+
+
+def _twin_classes(F: Hypergraph) -> list[list[int]]:
+    """The classes of F's twins, ascending, each of two or more vertices.
+    Vertices a and b are twins when the transposition (a b) maps F's edge
+    set onto itself, that is, when the edges through a but not b, with a
+    replaced by b, are the edges through b but not a.  Twinship is an
+    equivalence ((a c) = (a b)(b c)(a b)), so each class's whole symmetric
+    group lies in Aut(F)."""
+    through: list[list[frozenset[int]]] = [[] for _ in range(F.n)]
+    for e in F.edges:
+        for v in e:
+            through[v].append(frozenset(e).difference((v,)))
+    classes = []
+    seen: set[int] = set()
+    for a in range(F.n):
+        if a in seen:
+            continue
+        twins = [a]
+        for b in range(a + 1, F.n):
+            if len(through[a]) == len(through[b]):
+                if {s for s in through[a] if b not in s} == {s for s in through[b] if a not in s}:
+                    twins.append(b)
+        if len(twins) > 1:
+            seen.update(twins)
+            classes.append(twins)
+    return classes
 
 
 def _pattern_schedule(F: Hypergraph) -> tuple[list[int], Schedule]:

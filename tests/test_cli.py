@@ -77,7 +77,7 @@ def test_solve_exact_engine_with_trace(tmp_path, capsys):
     trace = json.loads(capsys.readouterr().out)["trace"]
     assert set(trace) == {
         "nodes", "restarts", "flex_nodes", "random_nodes", "asc_nodes",
-        "filtered_candidates", "reflection_cuts", "hall_rejections", "missing_edge_rejections",
+        "filtered_candidates", "reflection_cuts", "symmetry_cuts", "hall_rejections", "missing_edge_rejections",
         "memo_hits", "memo_colour_hits", "memo_states",
     }
     assert all(isinstance(v, int) for v in trace.values())
@@ -183,6 +183,21 @@ def test_directory_paths_exit_3(tmp_path, capsys):
         assert main(argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_scan_checks_out_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    import transversals.cli as cli
+
+    calls = []
+
+    def trial(payload):
+        calls.append(payload)
+        return "found", 0.0
+
+    monkeypatch.setattr(cli, "_scan_trial", trial)
+    assert main(["scan", "--n", "8", "--delta-from", "0.4", "--delta-to", "0.4",
+                 "--trials", "2", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert calls == [] and capsys.readouterr().err.startswith("error: ")
 
 
 def test_scan_rejects_non_positive_delta_step(capsys):

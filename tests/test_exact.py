@@ -346,6 +346,119 @@ def test_subgraph_search_agrees_with_unfiltered_reference(seed, n, pattern_n, p,
         assert res.certificate == TransversalCertificate.from_mapping(target, dict(zip(edge_stack, phi)))
 
 
+def brute_twin_classes(F):
+    """The twin classes by definition: the components of "the transposition
+    (a b) maps F's edge set onto itself", each checked to be a clique of
+    that relation, as it must be if twinship is an equivalence."""
+    def swaps_onto_itself(a, b):
+        image = [b if v == a else a if v == b else v for v in range(F.n)]
+        return {tuple(sorted(image[v] for v in e)) for e in F.edges} == F.edges
+
+    twins = {pair for pair in itertools.combinations(range(F.n), 2) if swaps_onto_itself(*pair)}
+    component = list(range(F.n))
+    for a, b in sorted(twins):
+        old, new = component[b], component[a]
+        component = [new if c == old else c for c in component]
+    classes = []
+    for c in sorted(set(component)):
+        members = [v for v in range(F.n) if component[v] == c]
+        assert all(pair in twins for pair in itertools.combinations(members, 2))
+        if len(members) > 1:
+            classes.append(members)
+    return classes
+
+
+def random_pattern(n, k, p, rng):
+    return Hypergraph(n, k, frozenset(e for e in itertools.combinations(range(n), k) if rng.random() < p))
+
+
+def test_twin_classes_match_every_transposition():
+    k23_plus_c4 = [(a, b) for a in (0, 1) for b in (2, 3, 4)] + [(5, 6), (6, 7), (7, 8), (5, 8)]
+    assert exact._twin_classes(Hypergraph.from_edges(9, 2, k23_plus_c4)) == [[0, 1], [2, 3, 4], [5, 7], [6, 8]]
+    # the isolated vertices 3..6 are one class, the ends of the path another
+    assert exact._twin_classes(Hypergraph.from_edges(7, 2, [(0, 1), (1, 2)])) == [[0, 2], [3, 4, 5, 6]]
+    rng = random.Random(11)
+    nontrivial = 0
+    for _ in range(300):
+        k = rng.choice((2, 3))
+        F = random_pattern(rng.randint(k, 7), k, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng)
+        classes = exact._twin_classes(F)
+        assert classes == brute_twin_classes(F), F.edges
+        nontrivial += bool(classes) and sum(map(len, classes)) < F.n
+    assert nontrivial >= 50  # most patterns have twins and non-twins
+
+
+TWIN_PATTERNS = {
+    "K13": Hypergraph.from_edges(4, 2, [(0, 1), (0, 2), (0, 3)]),
+    "K23": Hypergraph.from_edges(5, 2, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "C4": Hypergraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "2K2": Hypergraph.from_edges(4, 2, [(0, 1), (2, 3)]),
+    "tight3+twin": Hypergraph.from_edges(5, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (1, 2, 4)]),
+}
+
+
+def oracle_transversal_copies(C, F):
+    """Every edge set of a copy of F in C's union that has a rainbow
+    colouring, by trying every injective placement."""
+    union = set(C.colour_masks)
+    seen, copies = set(), set()
+    for image in itertools.permutations(range(C.n), F.n):
+        target = frozenset(tuple(sorted(image[v] for v in e)) for e in F.edges)
+        if target in seen or not target <= union:
+            continue
+        seen.add(target)
+        if rainbow_colouring(C, Hypergraph(C.n, C.k, target), range(C.m)) is not None:
+            copies.add(target)
+    return copies
+
+
+@pytest.mark.parametrize("name", list(TWIN_PATTERNS))
+def test_twin_rule_agrees_with_brute_force_oracle(name):
+    """Members repeat 1-3 random graphs, so colours bind; every status
+    matches the oracle's, every found copy is one of the oracle's, and for
+    k = 2 the copy is the unfiltered reference's first one."""
+    F = TWIN_PATTERNS[name]
+    assert exact._twin_classes(F)
+    rng = random.Random(name)
+    cuts = 0
+    for _ in range(40):
+        n = rng.randint(F.n, 7)
+        graphs = [random_pattern(n, F.k, rng.uniform(0.3, 0.8), rng) for _ in range(rng.randint(1, 3))]
+        C = Collection(n, F.k, tuple(rng.choice(graphs) for _ in range(F.num_edges)))
+        copies = oracle_transversal_copies(C, F)
+        res = find_transversal_subgraph(C, F)
+        assert res.status == (FOUND if copies else NONE)
+        cuts += res.stats["symmetry_cuts"]
+        if res.status == FOUND:
+            assert verify_certificate(C, res.certificate)
+            assert res.certificate.target.edges in copies
+            if F.k == 2:
+                schedule = _pattern_schedule(F)[1]
+                _, _, edge_stack, nodes = reference_search(
+                    n, schedule, C.colour_masks, range(n), (1 << C.m) - 1, node_limit=10**6
+                )
+                assert res.certificate.target.edges == set(edge_stack) and res.nodes <= nodes
+    assert cuts > 0
+
+
+def test_twin_floor_joins_the_memo_key():
+    """F is a triangle 2-0-3 with pendant leaves 1 and 4 at vertex 2: the
+    twin classes {0, 3} and {1, 4} sit at positions 1, 2 and 3, 4, and at
+    position 4 only the twin rule reads position 3.  Host states hub 0,
+    triangle 1 2, leaf 4 and hub 0, triangle 2 4, leaf 1 both leave vertex 3
+    for the second leaf; the first fails, as 3 lies below its leaf.  A key
+    without position 3 records it dead, skips the second, which holds the
+    only copy, and answers none."""
+    F = Hypergraph.from_edges(5, 2, [(0, 2), (0, 3), (1, 2), (2, 3), (2, 4)])
+    a = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)])
+    b = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2), (0, 4), (2, 4)])
+    C = Collection(5, 2, (a, b, b, b, b))
+    res = find_transversal_subgraph(C, F)
+    assert res.status == FOUND and res.stats["symmetry_cuts"] > 0
+    assert oracle_transversal_copies(C, F) == {res.certificate.target.edges}
+    assert verify_certificate(C, res.certificate)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 10**6),
@@ -401,6 +514,21 @@ def test_colour_key_hit_is_a_colour_reason(node_limit):
     cycle = [0, 1, 4, 6, 2, 5, 7, 3]
     assert res.certificate.target.edges == {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
     assert verify_certificate(C, res.certificate, LINK21)
+
+
+def test_reflection_read_joins_the_cycle_key():
+    """From position 3 on the reflection rule reads the vertex at position 1
+    only through the unused neighbours of vertex 0 below it.  Two states
+    with the same unused vertices and path end but different such
+    neighbours must not share a key: a key without them makes the
+    ascending sweep skip the branch of the one cycle, 0-3-1-2-4, and
+    answer none."""
+    members = [[(0, 3)], [(0, 1), (1, 2), (1, 3), (1, 4)], [(0, 1), (0, 2), (1, 3), (3, 4)],
+               [(0, 4)], [(0, 2), (0, 4), (1, 2), (1, 4), (2, 4)]]
+    C = Collection(5, 2, tuple(Hypergraph.from_edges(5, 2, m) for m in members))
+    res = find_transversal_cycle(C, LINK21, SearchBudget(node_limit=3999))
+    assert res.status == FOUND and res.stats["asc_nodes"] == res.nodes
+    assert res.certificate.target.edges == {(0, 3), (1, 3), (1, 2), (2, 4), (0, 4)}
 
 
 def memo_cases():
