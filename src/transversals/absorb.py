@@ -9,7 +9,7 @@ replaced by audits plus retries, so a returned object is always usable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -26,8 +26,8 @@ from .errors import (
 )
 from .exact import _completion_schedule, _Searcher, find_embedding
 from .hypergraph import Edge, Hypergraph, all_d_sets, bits, induced, mask_of
-from .links import EmbeddedChain, Link, build_chain_template, chain_counts
-from .matching import maximum_bipartite_matching
+from .links import EmbeddedChain, Link, build_chain_template
+from .matching import augment_all, maximum_bipartite_matching
 from .rng import rng_for
 
 EXHAUSTIVE_CUTOFF = 10**5
@@ -39,17 +39,18 @@ DEFAULT_PARTITION_SLACK = 0.4
 @dataclass(frozen=True)
 class BipartiteAvailability:
     """Left items (things to be assigned) against right items (resources);
-    adjacency[i] is the set of right indices usable by left item i."""
+    adjacency[i] is the bitset of right indices usable by left item i (bit b
+    for right b)."""
 
     m_A: int
     n_B: int
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.adjacency) != self.m_A:
             raise InvalidInput("one adjacency row per left item required")
         for row in self.adjacency:
-            if any(not 0 <= b < self.n_B for b in row):
+            if row < 0 or row >> self.n_B:
                 raise InvalidInput("right index out of range")
 
     @cached_property
@@ -57,7 +58,7 @@ class BipartiteAvailability:
         """Number of left items that can use each right, built on first use."""
         deg = [0] * self.n_B
         for row in self.adjacency:
-            for b in row:
+            for b in bits(row):
                 deg[b] += 1
         return tuple(deg)
 
@@ -85,26 +86,14 @@ def absorber_holds(
     otherwise (rng required then).  Returns (ok, failing U or None).
 
     The left side is matched into B0 once; each U then only augments the
-    left items that base matching left free.  A left item with no augmenting
-    path never gains one as others are matched (Kuhn), so one augmentation
-    attempt per free item decides each U exactly as a fresh matching would."""
+    left items that base matching left free, from a copy of it.  A left item
+    with no augmenting path never gains one as others are matched (Kuhn), so
+    this decides each U exactly as a fresh matching would."""
     b1 = list(absorber.B1)
     ell = absorber.ell
-    rows = [mask_of(row) for row in K.adjacency]
-
-    def augment(u: int, owner: dict[int, int], unseen: list[int]) -> bool:
-        while cand := rows[u] & unseen[0]:
-            low = cand & -cand
-            unseen[0] ^= low
-            v = low.bit_length() - 1
-            if v not in owner or augment(owner[v], owner, unseen):
-                owner[v] = u
-                return True
-        return False
-
     b0 = mask_of(absorber.B0)
     base: dict[int, int] = {}  # right -> the left item it is matched to
-    free = [u for u in range(K.m_A) if not augment(u, base, [b0])]
+    free = augment_all(K.adjacency, range(K.m_A), b0, base)
     total = math.comb(len(b1), ell)
     if total <= EXHAUSTIVE_CUTOFF:
         subsets = combinations(b1, ell)
@@ -113,9 +102,7 @@ def absorber_holds(
             raise InvalidInput("sampled verification needs an rng")
         subsets = (tuple(sorted(rng.sample(b1, ell))) for _ in range(SAMPLE_COUNT))
     for U in subsets:
-        owner = dict(base)
-        allowed = b0 | mask_of(U)
-        if not all(augment(u, owner, [allowed]) for u in free):
+        if augment_all(K.adjacency, free, b0 | mask_of(U), dict(base)):
             return False, U
     return True, None
 
@@ -136,17 +123,18 @@ def build_matching_absorber(
     if ell < 0 or ell > K.m_A:
         raise InvalidInput("need 0 <= ell <= m_A")
     for i, row in enumerate(K.adjacency):
-        if len(row) < ell + 1:
+        if row.bit_count() < ell + 1:
             raise InfeasibleDegrees(
-                f"left item {i} has availability {len(row)} < ell + 1 = {ell + 1}"
+                f"left item {i} has availability {row.bit_count()} < ell + 1 = {ell + 1}"
             )
     for attempt in range(retries):
         rng = rng_for(seed, "matching-absorber", attempt)
         order = list(range(K.n_B))
         rng.shuffle(order)
         pos = {b: j for j, b in enumerate(order)}
-        adj = [sorted((pos[b] for b in row)) for row in K.adjacency]
-        match = maximum_bipartite_matching(adj, K.n_B)
+        # rights are tried in shuffled order: right b becomes bit pos[b]
+        rows = [mask_of(pos[b] for b in bits(row)) for row in K.adjacency]
+        match = maximum_bipartite_matching(rows)
         if any(v == -1 for v in match):
             continue
         matched = [order[j] for j in match]
@@ -209,11 +197,7 @@ def build_colour_absorber(
     hosts = [
         tuple(sorted(emb[v] for v in e)) for e in F_template.sorted_edges()
     ]
-    avail = BipartiteAvailability(
-        len(hosts),
-        C.m,
-        tuple(frozenset(C.colours_of(e)) for e in hosts),
-    )
+    avail = BipartiteAvailability(len(hosts), C.m, tuple(C.colour_masks.get(e, 0) for e in hosts))
     ab = build_matching_absorber(avail, gamma_n, rng_for(seed, "colour-absorber").getrandbits(63), retries)
     if ab is None:
         raise AbsorberFailed("no verified colour absorber within the retry budget")
@@ -298,9 +282,6 @@ class RainbowCopy:
     vertices: tuple[int, ...]  # host vertex per body vertex
     colouring: tuple[tuple[Edge, int], ...]  # host edge -> colour
 
-    def host_vertices(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
     def colours(self) -> frozenset[int]:
         return frozenset(c for _, c in self.colouring)
 
@@ -359,7 +340,7 @@ def _place_rainbow_copy(
     vertices = searcher.assignment
     hosts = [tuple(sorted(vertices[u] for u in e)) for e in body_edges]
     masks = C.colour_masks
-    cols = maximum_bipartite_matching([list(bits(masks[h] & block_mask)) for h in hosts], C.m)
+    cols = maximum_bipartite_matching([masks[h] for h in hosts], block_mask)
     return RainbowCopy(tuple(vertices), tuple(zip(hosts, cols)))
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidInput
 from .hypergraph import Edge, Hypergraph, bits, mask_of, min_degree_d, transpose
@@ -95,12 +95,6 @@ class Collection:
             adj = list(map(or_, adj, H.adjacency))
         return tuple(adj)
 
-    def union_edges(self) -> frozenset[Edge]:
-        return frozenset(self.colour_masks)
-
-    def colours_of(self, edge: Sequence[int]) -> list[int]:
-        return list(bits(self.colour_masks.get(tuple(sorted(edge)), 0)))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -175,16 +169,6 @@ def threshold_hypergraph(C: Collection, colours: Iterable[int], theta: int) -> H
         C.k,
         frozenset(e for e, mask in C.colour_masks.items() if (mask & sel).bit_count() >= theta),
     )
-
-
-def induced_collection(C: Collection, U: Iterable[int]) -> tuple[Collection, list[int]]:
-    """Restrict every member to U.  Returns the collection plus the sorted
-    original labels so callers can map re-indexed vertices back."""
-    from .hypergraph import induced
-
-    verts = sorted(set(U))
-    members = tuple(induced(H, verts) for H in C.members)
-    return Collection(len(verts), C.k, members), verts
 
 
 @dataclass(frozen=True)
@@ -312,19 +296,14 @@ def rainbow_colouring(
 ) -> Optional[TransversalCertificate]:
     """Exact rainbow colouring of `target` from `allowed` colours, or None.
 
-    Builds the edge/colour availability graph and runs maximum matching, so
+    Matches the target's edges into the allowed colours that hold them, so
     a None answer is a Hall-type refutation, not a heuristic miss.
     """
     cols = sorted(set(allowed))
     if any(not 0 <= c < C.m for c in cols):
         raise InvalidInput("allowed colours out of range")
     edges = target.sorted_edges()
-    adj = []
-    for e in edges:
-        mask = C.colour_masks.get(e, 0)
-        adj.append([j for j, c in enumerate(cols) if mask >> c & 1])
-    match = maximum_bipartite_matching(adj, len(cols))
-    if any(v == -1 for v in match):
+    match = maximum_bipartite_matching([C.colour_masks.get(e, 0) for e in edges], mask_of(cols))
+    if -1 in match:
         return None
-    mapping = {e: cols[match[i]] for i, e in enumerate(edges)}
-    return TransversalCertificate.from_mapping(target, mapping)
+    return TransversalCertificate.from_mapping(target, dict(zip(edges, match)))

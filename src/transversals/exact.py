@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .collection import Collection, TransversalCertificate, verify_certificate
 from .errors import ColourCountMismatch, InvalidInput, SearchExhausted
-from .hypergraph import Edge, Hypergraph, bits, mask_of
-from .links import Link, cycle_counts, cycle_on
+from .hypergraph import Edge, Hypergraph, mask_of
+from .links import Link, cycle_on
 from .matching import IncrementalMatching, maximum_bipartite_matching
 from .rng import rng_for
 
@@ -357,8 +357,7 @@ class _Searcher:
         """Colours by replay: the batch matching of the completed edges in
         push order, which is the assignment an augmenting-path matcher grown
         by the same pushes would hold."""
-        rows = [list(bits(self.masks[e])) for e in self.edge_stack]
-        phi = maximum_bipartite_matching(rows, self.colours.bit_length())
+        phi = maximum_bipartite_matching([self.masks[e] for e in self.edge_stack], self.colours)
         target = Hypergraph(n, k, frozenset(self.edge_stack))
         return TransversalCertificate.from_mapping(target, dict(zip(self.edge_stack, phi)))
 
@@ -483,12 +482,12 @@ def find_transversal_cycle(
     memo: a later sweep skips every subtree an earlier one saw fail.
     found/none are definitive; exhausted means the budget ran out first."""
     n = C.n
-    required = cycle_counts(link, n)
-    if C.m != required:
+    cycle = cycle_on(link, n)
+    if C.m != cycle.num_edges:
         raise ColourCountMismatch(
-            f"collection has {C.m} members; an A-cycle on {n} vertices has {required} edges"
+            f"collection has {C.m} members; an A-cycle on {n} vertices has {cycle.num_edges} edges"
         )
-    searcher = _coloured_searcher(C, budget, _completion_schedule(cycle_on(link, n).edges, n, C.k))
+    searcher = _coloured_searcher(C, budget, _completion_schedule(cycle.edges, n, C.k))
     probe_budget = budget.node_limit // 2
     rng = rng_for(0x5EED, "cycle-restarts")
     outcome: Optional[bool] = None

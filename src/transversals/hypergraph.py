@@ -74,9 +74,6 @@ class Hypergraph:
             adj[v] |= bit[u]
         return tuple(adj)
 
-    def has_edge(self, edge: Sequence[int]) -> bool:
-        return tuple(sorted(edge)) in self.edges
-
     def vertices(self) -> range:
         return range(self.n)
 

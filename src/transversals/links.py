@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
 from .hypergraph import (
@@ -66,8 +66,8 @@ class Link:
 
 def make_link(body: Hypergraph, ell: int) -> Link:
     """Validate that the first-l and last-l windows agree and return the link."""
-    if not 1 <= ell <= body.n:
-        raise InvalidInput(f"ell={ell} outside [1, {body.n}]")
+    if not 1 <= ell < body.n:
+        raise InvalidInput(f"ell={ell} outside [1, {body.n - 1}]")
     link = Link(body, ell)
     if not ordered_isomorphic(link.start_pattern(), link.end_pattern()):
         raise StartEndMismatch(
@@ -111,18 +111,10 @@ def chain_counts(link: Link, t: int) -> tuple[int, int]:
 
 
 def cycle_counts(link: Link, n: int) -> int:
-    """Edge count of the A-cycle on n vertices (exact integer arithmetic)."""
-    step = link.step
-    if step == 0:
-        raise DivisibilityError("degenerate link with ell = m")
-    if n < link.m:
-        raise DivisibilityError(f"n={n} smaller than link order {link.m}")
-    if n % step != 0:
-        raise DivisibilityError(f"{step} does not divide n={n}")
-    total = (link.edges_per_link - link.edges_in_overlap) * n
-    if total % step != 0:
-        raise DivisibilityError("edge count is not integral for this link")
-    return total // step
+    """Edge count of the A-cycle on n vertices.  Raises as `cycle_on` does
+    where no such cycle exists (n not a multiple of the step, below the link
+    order, or too short to keep its windows apart)."""
+    return cycle_on(link, n).num_edges
 
 
 def build_chain_template(link: Link, t: int) -> Hypergraph:

@@ -1,47 +1,64 @@
-"""Exact maximum bipartite matching, batch and incremental.
+"""Exact maximum bipartite matching over bitset rows, batch and incremental.
 
-Augmenting-path search is enough at the sizes this package handles.  The
-incremental variant works on colour bitsets, tries a free colour before any
-augmenting path, and keeps each push's path so the backtracking solvers can
-retract left vertices in LIFO order.
+Augmenting-path search is enough at the sizes this package handles.  A left
+item's rights are one int (bit v for right v).  `augment_all` is the one
+batch matcher: every caller that matches a whole row list at once, or
+completes a warm-started matching, goes through it.  The incremental variant
+tries a free right before any augmenting path and keeps each push's path so
+the backtracking solvers can retract left vertices in LIFO order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
-def maximum_bipartite_matching(
-    adj: Sequence[Sequence[int]], n_right: int
+def augment_all(
+    rows: Sequence[int], lefts: Iterable[int], allowed: int, owner: dict[int, int]
 ) -> list[int]:
-    """Maximum matching from left vertices to 0..n_right-1.
+    """Match each of `lefts`, in order, into the `allowed` rights along an
+    augmenting path, and return the lefts left unmatched.
 
-    `adj[u]` lists right neighbours of left vertex u.  Returns match_left
-    with -1 for unmatched lefts.  Deterministic: lefts processed in order,
-    neighbours tried in the given order.
-    """
-    match_left = [-1] * len(adj)
-    match_right = [-1] * n_right
+    `rows[u]` is the bitset of left u's rights.  `owner` maps each matched
+    right to its left and is updated in place; a non-empty one is a warm
+    start, whose lefts may move to other allowed rights but stay matched.
+    Every left starts from a fresh seen-mask and tries its rights in
+    ascending bit order, so the result is deterministic.  A left with no
+    augmenting path never gains one as others are matched (Kuhn), so one
+    attempt per left leaves a maximum matching of the lefts tried."""
+    unseen = 0
 
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
+    def augment(u: int) -> bool:
+        nonlocal unseen
+        while cand := rows[u] & unseen:
+            low = cand & -cand
+            unseen ^= low
+            v = low.bit_length() - 1
+            holder = owner.get(v)
+            if holder is None or augment(holder):
+                owner[v] = u
+                return True
         return False
 
-    for u in range(len(adj)):
-        augment(u, [False] * n_right)
+    unmatched = []
+    for u in lefts:
+        unseen = allowed
+        if not augment(u):
+            unmatched.append(u)
+    return unmatched
+
+
+def maximum_bipartite_matching(rows: Sequence[int], allowed: int = -1) -> list[int]:
+    """Maximum matching of the lefts 0..len(rows)-1 into the `allowed`
+    rights (by default all): the right each left holds, -1 if none.
+    `rows[u]` is the bitset of left u's rights; the order of the search is
+    `augment_all`'s."""
+    owner: dict[int, int] = {}
+    augment_all(rows, range(len(rows)), allowed, owner)
+    match_left = [-1] * len(rows)
+    for v, u in owner.items():
+        match_left[u] = v
     return match_left
-
-
-def is_perfectly_matchable(adj: Sequence[Sequence[int]], n_right: int) -> bool:
-    """True iff a matching saturating every left vertex exists."""
-    match = maximum_bipartite_matching(adj, n_right)
-    return all(v != -1 for v in match)
 
 
 class IncrementalMatching:
@@ -56,7 +73,9 @@ class IncrementalMatching:
     failed push is definitive, because adding more lefts can never make the
     current set matchable (Hall).  Which colour each left holds depends on
     the path taken, so callers that need a canonical assignment replay the
-    stack through `maximum_bipartite_matching`.
+    pushed masks, in push order, through the batch matcher
+    (`maximum_bipartite_matching`, one `augment_all` pass from an empty
+    matching).
     """
 
     def __init__(self, m: int) -> None:

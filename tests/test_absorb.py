@@ -27,10 +27,11 @@ from transversals.collection import Collection, rainbow_colouring
 from transversals.errors import InfeasibleDegrees, InvalidInput, NoCopyFound, SizesMismatch
 from transversals.exact import find_embedding
 from transversals.gen import GenSpec, generate
-from transversals.hypergraph import Hypergraph, complete_graph
-from transversals.matching import maximum_bipartite_matching
+from transversals.hypergraph import Hypergraph, complete_graph, mask_of
 from transversals.links import is_chain, single_edge_link, triangle_link
 from transversals.rng import rng_for
+
+from test_matching import reference_augment
 
 
 def random_availability(m_a, n_b, min_deg, seed):
@@ -38,7 +39,7 @@ def random_availability(m_a, n_b, min_deg, seed):
     rows = []
     for _ in range(m_a):
         deg = rng.randint(min_deg, n_b)
-        rows.append(frozenset(rng.sample(range(n_b), deg)))
+        rows.append(mask_of(rng.sample(range(n_b), deg)))
     return BipartiteAvailability(m_a, n_b, tuple(rows))
 
 
@@ -52,7 +53,7 @@ def test_matching_absorber_built_and_holds():
 
 
 def test_matching_absorber_rejects_low_degree():
-    K = BipartiteAvailability(2, 5, (frozenset({0}), frozenset({1, 2})))
+    K = BipartiteAvailability(2, 5, (0b1, 0b110))
     with pytest.raises(InfeasibleDegrees):
         build_matching_absorber(K, ell=1, seed=0)
 
@@ -60,19 +61,19 @@ def test_matching_absorber_rejects_low_degree():
 def test_absorber_holds_detects_failure():
     # left 0 only reaches right 0; an absorber with B0=() and ell=1 fails on
     # any U avoiding right 0
-    K = BipartiteAvailability(1, 3, (frozenset({0}),))
+    K = BipartiteAvailability(1, 3, (0b1,))
     bad_ab = MatchingAbsorber(B0=(), B1=(1, 2), ell=1)
     ok, witness = absorber_holds(K, bad_ab)
     assert not ok and witness is not None
 
 
 def reference_absorber_holds(K, absorber, rng, cutoff):
-    """absorber_holds with a from-scratch matching for every subset."""
+    """absorber_holds with a from-scratch matching for every subset, by the
+    list-based reference matcher."""
 
     def matchable(rights):
-        pos = {b: j for j, b in enumerate(rights)}
-        adj = [[pos[b] for b in row if b in pos] for row in K.adjacency]
-        return all(v != -1 for v in maximum_bipartite_matching(adj, len(rights)))
+        allowed = sum(1 << b for b in rights)
+        return not reference_augment(K.adjacency, range(K.m_A), allowed, {})
 
     b1, ell = list(absorber.B1), absorber.ell
     if ell == 0:
@@ -93,7 +94,7 @@ def availability_and_absorber(draw):
     m_a = draw(st.integers(0, 8))
     n_b = draw(st.integers(1, 20))
     rights = st.integers(0, n_b - 1)
-    rows = tuple(frozenset(draw(st.sets(rights, max_size=n_b))) for _ in range(m_a))
+    rows = tuple(mask_of(draw(st.sets(rights, max_size=n_b))) for _ in range(m_a))
     # B0 of any size, so that it often cannot match all but ell left items
     b0 = tuple(sorted(draw(st.sets(rights, max_size=m_a))))
     b1 = tuple(sorted(draw(st.sets(rights.filter(lambda b: b not in b0)))))
@@ -123,7 +124,7 @@ def sparse_availability(sparse, seed):
     rows = []
     for i in range(15):
         deg = rng.randint(4, 8) if i < sparse else rng.randint(30, 80)
-        rows.append(frozenset(rng.sample(range(100), deg)))
+        rows.append(mask_of(rng.sample(range(100), deg)))
     return BipartiteAvailability(15, 100, tuple(rows))
 
 
@@ -149,8 +150,21 @@ def test_matching_absorber_pinned_in_sampled_regime(sparse, seed, b1_size, diges
 def test_right_degrees_count_rows():
     K = random_availability(6, 30, 10, seed=1)
     assert K.right_degrees == tuple(
-        sum(1 for row in K.adjacency if b in row) for b in range(K.n_B)
+        sum(row >> b & 1 for row in K.adjacency) for b in range(K.n_B)
     )
+
+
+@pytest.mark.parametrize(
+    "m_a, rows",
+    [
+        (2, (0b1,)),  # one row for two left items
+        (1, (-1,)),  # a negative row
+        (1, (1 << 5,)),  # right 5 with n_B = 5
+    ],
+)
+def test_availability_rejects_malformed_rows(m_a, rows):
+    with pytest.raises(InvalidInput):
+        BipartiteAvailability(m_a, 5, rows)
 
 
 def test_colour_absorber_exhaustive_property():

@@ -38,6 +38,7 @@ from transversals.hypergraph import (
     Hypergraph,
     complete_graph,
     cycle_graph,
+    mask_of,
     min_degree_d,
 )
 from transversals.links import (
@@ -167,7 +168,7 @@ def test_5_matching_absorbers_verified_exhaustively():
             n_b = rng.randint(m_a + 4, 40)
             ell = rng.randint(0, 2)
             rows = tuple(
-                frozenset(rng.sample(range(n_b), rng.randint(ell + 3, n_b)))
+                mask_of(rng.sample(range(n_b), rng.randint(ell + 3, n_b)))
                 for _ in range(m_a)
             )
             K = BipartiteAvailability(m_a, n_b, rows)

@@ -10,7 +10,6 @@ from transversals.collection import (
     Collection,
     TransversalCertificate,
     collection_min_degree,
-    induced_collection,
     is_cycle_copy,
     rainbow_colouring,
     threshold_hypergraph,
@@ -40,12 +39,6 @@ def all_complete(n, m):
 def test_collection_rejects_mismatched_members():
     with pytest.raises(InvalidInput):
         Collection(4, 2, (complete_graph(4), complete_graph(5)))
-
-
-def test_colours_of_lists_members_containing_edge():
-    C = Collection(4, 2, (cycle_graph(4), complete_graph(4)))
-    assert C.colours_of((0, 2)) == [1]
-    assert C.colours_of((0, 1)) == [0, 1]
 
 
 def test_union_adjacency_is_union_of_member_adjacency():
@@ -272,13 +265,6 @@ def test_threshold_audit_random_instance():
     K = threshold_hypergraph(C, range(C.m), theta)
     bound = collection_min_degree(C, 1) - theta * 8 / 10
     assert min_degree_d(K, 1) >= bound
-
-
-def test_induced_collection_relabels():
-    C = all_complete(6, 2)
-    sub, labels = induced_collection(C, [1, 3, 5])
-    assert sub.n == 3 and labels == [1, 3, 5]
-    assert sub.members[0].edges == complete_graph(3).edges
 
 
 def test_rainbow_colouring_found():

@@ -29,7 +29,7 @@ from transversals.exact import (
     find_transversal_subgraph,
 )
 from transversals.gen import GenSpec, dirac_extremal, generate
-from transversals.hypergraph import Hypergraph, bits, complete_graph, cycle_graph
+from transversals.hypergraph import Hypergraph, complete_graph, cycle_graph
 from transversals.links import cycle_on, single_edge_link, triangle_link
 from transversals.matching import IncrementalMatching, maximum_bipartite_matching
 from transversals.rng import rng_for
@@ -341,7 +341,7 @@ def test_subgraph_search_agrees_with_unfiltered_reference(seed, n, pattern_n, p,
     assert res.status == (FOUND if found else NONE)
     assert res.nodes <= nodes
     if found:
-        phi = maximum_bipartite_matching([list(bits(C.colour_masks[e])) for e in edge_stack], m)
+        phi = maximum_bipartite_matching([C.colour_masks[e] for e in edge_stack])
         target = Hypergraph(n, 2, frozenset(edge_stack))
         assert res.certificate == TransversalCertificate.from_mapping(target, dict(zip(edge_stack, phi)))
 

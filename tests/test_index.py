@@ -87,10 +87,11 @@ def test_threshold_hypergraph_matches_brute_force(C, data):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(collections(2), collections(3)))
 def test_colours_of_and_union_match_brute_force(C):
+    # the colour bitset of every k-set, and the union as the index's keys
     for e in combinations(range(C.n), C.k):
-        assert C.colours_of(e) == [i for i, H in enumerate(C.members) if e in H.edges]
-        assert C.colours_of(tuple(reversed(e))) == C.colours_of(e)
-    assert C.union_edges() == frozenset().union(*(H.edges for H in C.members))
+        expected = sum(1 << i for i, H in enumerate(C.members) if e in H.edges)
+        assert C.colour_masks.get(e, 0) == expected
+    assert set(C.colour_masks) == frozenset().union(*(H.edges for H in C.members))
 
 
 def brute_partition_audit(C, parts, frac):

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from transversals.errors import DivisibilityError, StartEndMismatch, TooShort
-from transversals.hypergraph import Hypergraph, induced
+from transversals.errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
+from transversals.hypergraph import Hypergraph, complete_graph, induced
 from transversals.links import (
     build_chain_template,
     builtin_link,
@@ -43,6 +43,12 @@ def test_make_link_rejects_mismatched_ends():
         make_link(body, 2)
 
 
+def test_make_link_rejects_ell_equal_to_m():
+    # step m - ell would be 0, and no chain or cycle could advance
+    with pytest.raises(InvalidInput):
+        make_link(complete_graph(3), 3)
+
+
 def test_chain_counts_single_edge_links():
     # loose / tight 3-uniform paths
     assert chain_counts(single_edge_link(3, 1), 4) == (9, 4)
@@ -69,6 +75,22 @@ def test_cycle_counts_divisibility_errors():
         cycle_counts(single_edge_link(3, 1), 7)  # step 2 does not divide 7
     with pytest.raises(DivisibilityError):
         cycle_counts(single_edge_link(4, 2), 2)  # smaller than the link
+
+
+@pytest.mark.parametrize(
+    "name", ["edge(2,1)", "edge(3,1)", "edge(3,2)", "edge(4,2)", "triangle", "pillar", "clique(4)", "clique(5)"]
+)
+def test_cycle_counts_agrees_with_cycle_on(name):
+    # where the windows of a short cycle would collide, both raise TooShort
+    link = builtin_link(name)
+    for n in range(1, 16):
+        try:
+            expected = cycle_on(link, n).num_edges
+        except (DivisibilityError, TooShort) as exc:
+            with pytest.raises(type(exc)):
+                cycle_counts(link, n)
+        else:
+            assert cycle_counts(link, n) == expected
 
 
 def test_chain_template_matches_counts():

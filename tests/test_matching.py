@@ -1,4 +1,5 @@
-"""Bipartite matching: batch maximum matching and the incremental variant."""
+"""Bipartite matching over bitset rows: the batch matcher and the
+incremental variant, against list-based references."""
 
 import itertools
 
@@ -6,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transversals.hypergraph import bits, mask_of
-from transversals.matching import (
-    IncrementalMatching,
-    is_perfectly_matchable,
-    maximum_bipartite_matching,
-)
+from transversals.matching import IncrementalMatching, augment_all, maximum_bipartite_matching
 
 
 def brute_force_max_matching(adj, n_right):
@@ -26,21 +23,18 @@ def brute_force_max_matching(adj, n_right):
 
 
 def test_perfect_matching_identity():
-    adj = [[0], [1], [2]]
-    assert is_perfectly_matchable(adj, 3)
+    assert maximum_bipartite_matching([0b001, 0b010, 0b100]) == [0, 1, 2]
 
 
 def test_hall_violation_detected():
     # two lefts share a single right
-    adj = [[0], [0]]
-    match = maximum_bipartite_matching(adj, 1)
+    match = maximum_bipartite_matching([0b1, 0b1])
     assert match.count(-1) == 1
 
 
 def test_augmenting_path_rewires():
     # greedy would match 0->0 and block 1; augmenting must rewire
-    adj = [[0, 1], [0]]
-    assert is_perfectly_matchable(adj, 2)
+    assert maximum_bipartite_matching([0b11, 0b01]) == [1, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,7 +44,7 @@ def test_matches_brute_force_size(nl, nr, data):
         sorted(data.draw(st.sets(st.integers(0, nr - 1), max_size=nr)))
         for _ in range(nl)
     ]
-    match = maximum_bipartite_matching(adj, nr)
+    match = maximum_bipartite_matching([mask_of(row) for row in adj])
     size = sum(1 for v in match if v != -1)
     # validity
     hit = [v for v in match if v != -1]
@@ -101,7 +95,7 @@ def test_incremental_agrees_with_batch(nl, nr, data):
         if not inc.push(mask_of(row)):
             ok = False
             break
-    assert ok == is_perfectly_matchable(adj, nr)
+    assert ok == (-1 not in maximum_bipartite_matching([mask_of(row) for row in adj]))
 
 
 class KuhnReference:
@@ -173,5 +167,43 @@ def test_bitset_matcher_agrees_with_kuhn_reference(m, data):
         held = inc.assignment()
         assert len(held) == len(stack) == len(set(held))
         assert all(mask >> c & 1 for (mask, _), c in zip(stack, held))
-        replay = maximum_bipartite_matching([list(bits(mask)) for mask, _ in stack], m)
+        replay = maximum_bipartite_matching([mask for mask, _ in stack])
         assert replay == ref.assignment()
+
+
+def reference_augment(rows, lefts, allowed, owner):
+    """`augment_all` by the list-based reference: each left's allowed
+    rights as an ascending list, a set of seen rights per root.  Updates
+    `owner` (right -> left) in place and returns the unmatched lefts."""
+    ref = KuhnReference()
+    ref.avail = [[v for v in range(row.bit_length()) if (row & allowed) >> v & 1] for row in rows]
+    ref.match_left = [None] * len(rows)
+    ref.match_right = owner
+    return [u for u in lefts if not ref._augment(u, set(), [])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(1, 7), st.data())
+def test_augment_all_agrees_with_kuhn_reference(nl, nr, data):
+    # a first pass into one allowed set warm-starts a second pass into
+    # another, as the absorber check does with B0 and then B0 plus U
+    rights = st.integers(0, (1 << nr) - 1)
+    rows = data.draw(st.lists(rights, min_size=nl, max_size=nl))
+    first_allowed, second_allowed = data.draw(rights), data.draw(rights)
+    split = data.draw(st.integers(0, nl))
+    got, want = {}, {}
+    got_left = augment_all(rows, range(split), first_allowed, got)
+    assert got_left == reference_augment(rows, range(split), first_allowed, want)
+    assert got == want
+    second = got_left + data.draw(st.permutations(range(split, nl)))
+    got_left = augment_all(rows, second, second_allowed, got)
+    assert got_left == reference_augment(rows, second, second_allowed, want)
+    assert got == want
+    assert all(rows[u] >> v & 1 for v, u in got.items())
+    from_scratch = {}
+    unmatched = reference_augment(rows, range(nl), second_allowed, from_scratch)
+    match_left = [-1] * nl
+    for v, u in from_scratch.items():
+        match_left[u] = v
+    assert maximum_bipartite_matching(rows, second_allowed) == match_left
+    assert [u for u in range(nl) if match_left[u] == -1] == unmatched
