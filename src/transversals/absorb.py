@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exact import _completion_schedule, _Searcher, find_embedding
 from .hypergraph import Edge, Hypergraph, all_d_sets, bits, induced, mask_of
-from .links import EmbeddedChain, Link, build_chain_template
+from .links import Link, build_chain_template
 from .matching import augment_all, maximum_bipartite_matching
 from .rng import rng_for
 
@@ -61,9 +61,6 @@ class BipartiteAvailability:
             for b in bits(row):
                 deg[b] += 1
         return tuple(deg)
-
-    def right_degree(self, b: int) -> int:
-        return self.right_degrees[b]
 
 
 @dataclass(frozen=True)
@@ -111,9 +108,9 @@ def build_matching_absorber(
     K: BipartiteAvailability,
     ell: int,
     seed: int,
-    retries: int = DEFAULT_RETRIES,
 ) -> Optional[MatchingAbsorber]:
-    """Randomised construction of a MatchingAbsorber, or None after retries.
+    """Randomised construction of a MatchingAbsorber, or None after
+    DEFAULT_RETRIES attempts.
 
     Each attempt matches the left side into a random ordering of the rights,
     drops ell matched rights to form B0, takes the leftover rights (highest
@@ -127,7 +124,7 @@ def build_matching_absorber(
             raise InfeasibleDegrees(
                 f"left item {i} has availability {row.bit_count()} < ell + 1 = {ell + 1}"
             )
-    for attempt in range(retries):
+    for attempt in range(DEFAULT_RETRIES):
         rng = rng_for(seed, "matching-absorber", attempt)
         order = list(range(K.n_B))
         rng.shuffle(order)
@@ -141,14 +138,14 @@ def build_matching_absorber(
         dropped = set(rng.sample(matched, ell))
         B0 = tuple(sorted(b for b in matched if b not in dropped))
         pool = [b for b in range(K.n_B) if b not in B0]
-        pool.sort(key=lambda b: (-K.right_degree(b), b))
+        pool.sort(key=lambda b: (-K.right_degrees[b], b))
         b1 = list(pool)
         while len(b1) >= ell:
             cand = MatchingAbsorber(B0, tuple(sorted(b1)), ell)
             ok, bad = absorber_holds(K, cand, rng)
             if ok:
                 return cand
-            evict = min(bad, key=lambda b: (K.right_degree(b), b))
+            evict = min(bad, key=lambda b: (K.right_degrees[b], b))
             b1.remove(evict)
     return None
 
@@ -179,7 +176,6 @@ def build_colour_absorber(
     gamma_n: int,
     alpha: float,
     seed: int,
-    retries: int = DEFAULT_RETRIES,
 ) -> ColourAbsorber:
     """Embed the template into the well-represented edges (those lying in at
     least ceil(alpha*m) colours), then delegate the colour-side flexibility
@@ -198,7 +194,7 @@ def build_colour_absorber(
         tuple(sorted(emb[v] for v in e)) for e in F_template.sorted_edges()
     ]
     avail = BipartiteAvailability(len(hosts), C.m, tuple(C.colour_masks.get(e, 0) for e in hosts))
-    ab = build_matching_absorber(avail, gamma_n, rng_for(seed, "colour-absorber").getrandbits(63), retries)
+    ab = build_matching_absorber(avail, gamma_n, rng_for(seed, "colour-absorber").getrandbits(63))
     if ab is None:
         raise AbsorberFailed("no verified colour absorber within the retry budget")
     return ColourAbsorber(
@@ -213,12 +209,11 @@ def degree_preserving_partition(
     seed: int,
     retries: int = DEFAULT_RETRIES,
     slack: float = DEFAULT_PARTITION_SLACK,
-    d: int | None = None,
     min_size: int = 1,
     within: Optional[Sequence[int]] = None,
 ) -> Optional[list[list[int]]]:
     """Uniform random partition into the given part sizes, accepted only if
-    every d-set keeps, in every member and into every part, at least a
+    every (k-1)-set keeps, in every member and into every part, at least a
     proportional share of its degree.  None after retries.
 
     `within` restricts the universe being partitioned (default: all of V)."""
@@ -228,10 +223,8 @@ def degree_preserving_partition(
         raise SizesMismatch(f"sizes sum to {sum(sizes)}, need {len(universe)}")
     if any(s < min_size for s in sizes):
         raise InvalidInput(f"every part must have at least {min_size} vertices")
-    k = C.k
-    d = k - 1 if d is None else d
-    delta = collection_min_degree(C, d)
-    frac = delta / n ** (k - d) + alpha / 2 - slack
+    d = C.k - 1
+    frac = collection_min_degree(C, d) / n + alpha / 2 - slack
     for attempt in range(retries):
         rng = rng_for(seed, "partition", attempt)
         perm = list(universe)
@@ -277,9 +270,10 @@ def _partition_audit(C: Collection, parts, d: int, frac: float) -> bool:
 
 @dataclass(frozen=True)
 class RainbowCopy:
-    """One embedded copy of a link body with a rainbow edge colouring."""
+    """A rainbow-coloured piece of the cycle: a copy of a link body (a factor
+    copy) or of an A-chain (a tiling chain), in template vertex order."""
 
-    vertices: tuple[int, ...]  # host vertex per body vertex
+    vertices: tuple[int, ...]  # host vertex per template vertex
     colouring: tuple[tuple[Edge, int], ...]  # host edge -> colour
 
     def colours(self) -> frozenset[int]:
@@ -344,18 +338,9 @@ def _place_rainbow_copy(
     return RainbowCopy(tuple(vertices), tuple(zip(hosts, cols)))
 
 
-@dataclass(frozen=True)
-class RainbowChain:
-    chain: EmbeddedChain
-    colouring: tuple[tuple[Edge, int], ...]
-
-    def colours(self) -> frozenset[int]:
-        return frozenset(c for _, c in self.colouring)
-
-
 @dataclass
 class TilingResult:
-    chains: list[RainbowChain]
+    chains: list[RainbowCopy]
     uncovered: frozenset[int]
     unused_colours: frozenset[int]
 
@@ -410,7 +395,7 @@ def rainbow_tiling(
     work_parts = parts[:T] if slack_part_present else parts
     unused = set(pool_cols)
     theta = max(1, math.ceil(eta * len(pool_cols)))
-    chains: list[RainbowChain] = []
+    chains: list[RainbowCopy] = []
     covered: set[int] = set()
     for idx, part in enumerate(work_parts):
         rng = rng_for(seed, "tiling-part", idx)
@@ -418,7 +403,7 @@ def rainbow_tiling(
         if placed is None:
             continue
         chains.append(placed)
-        covered |= set(placed.chain.vertices)
+        covered |= set(placed.vertices)
         unused -= placed.colours()
     uncovered = frozenset(set(universe) - covered)
     return TilingResult(chains, uncovered, frozenset(unused))
@@ -431,7 +416,7 @@ def _chain_in_part(
     unused: set[int],
     theta: int,
     rng,
-) -> Optional[RainbowChain]:
+) -> Optional[RainbowCopy]:
     """Longest findable uncoloured chain in the part's threshold hypergraph,
     then an exact rainbow colouring from the unused colours."""
     K = threshold_hypergraph(C, sorted(unused), theta)
@@ -448,10 +433,9 @@ def _chain_in_part(
         if emb is None:
             continue
         vertices = tuple(labels[v] for v in emb)
-        chain = EmbeddedChain(link, t, vertices)
-        target = Hypergraph(C.n, C.k, frozenset(chain.host_edges()))
-        cert = rainbow_colouring(C, target, sorted(unused))
+        hosts = frozenset(tuple(sorted(vertices[v] for v in e)) for e in template.edges)
+        cert = rainbow_colouring(C, Hypergraph(C.n, C.k, hosts), sorted(unused))
         if cert is None:
             continue
-        return RainbowChain(chain, tuple(sorted(cert.mapping().items())))
+        return RainbowCopy(vertices, tuple(sorted(cert.mapping().items())))
     return None

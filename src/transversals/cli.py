@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor

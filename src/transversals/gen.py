@@ -39,11 +39,16 @@ class GenSpec:
 
 
 def generate(spec: GenSpec) -> Collection:
-    """Dispatch on the family tag."""
+    """Dispatch on the family tag.  The extremal families are 2-uniform, and
+    `dirac-extremal` has exactly n members."""
     if spec.family == "random":
         return random_collection(spec)
+    if spec.k != 2:
+        raise InvalidInput(f"family {spec.family!r} is 2-uniform, got k={spec.k}")
     if spec.family == "bridge":
         return bridge_construction(spec.n, spec.m)
+    if spec.m != spec.n:
+        raise InvalidInput(f"family 'dirac-extremal' has m = n = {spec.n} members, got m={spec.m}")
     return dirac_extremal(spec.n)
 
 

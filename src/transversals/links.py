@@ -13,21 +13,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
-from .hypergraph import (
-    Edge,
-    Hypergraph,
-    complete_graph,
-    induced,
-    ordered_isomorphic,
-)
+from .hypergraph import Hypergraph, complete_graph, induced, ordered_isomorphic
 
 
 @dataclass(frozen=True)
 class Link:
-    """Validated l-link.  `body` lives on vertices 0..m-1 in index order."""
+    """l-link: `body` lives on vertices 0..m-1 in index order, and its
+    first-l and last-l windows induce the same index pattern."""
 
     body: Hypergraph
     ell: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.ell < self.body.n:
+            raise InvalidInput(f"ell={self.ell} outside [1, {self.body.n - 1}]")
+        if not ordered_isomorphic(self.start_pattern(), self.end_pattern()):
+            raise StartEndMismatch(
+                f"first-{self.ell} and last-{self.ell} windows induce different index patterns"
+            )
 
     @property
     def m(self) -> int:
@@ -61,19 +64,12 @@ class Link:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Link":
-        return make_link(Hypergraph.from_json(obj["body"]), int(obj["ell"]))
+        return cls(Hypergraph.from_json(obj["body"]), int(obj["ell"]))
 
 
 def make_link(body: Hypergraph, ell: int) -> Link:
-    """Validate that the first-l and last-l windows agree and return the link."""
-    if not 1 <= ell < body.n:
-        raise InvalidInput(f"ell={ell} outside [1, {body.n - 1}]")
-    link = Link(body, ell)
-    if not ordered_isomorphic(link.start_pattern(), link.end_pattern()):
-        raise StartEndMismatch(
-            f"first-{ell} and last-{ell} windows induce different index patterns"
-        )
-    return link
+    """The link of `body` with overlap ell; raises as `Link` does."""
+    return Link(body, ell)
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ def is_chain(
         return False, None
     step = link.step
     rem = candidate.n - link.ell
-    if step == 0 or rem <= 0 or rem % step != 0:
+    if rem <= 0 or rem % step != 0:
         return False, None
     t = rem // step
     layout = chain_windows(link, t)
@@ -192,46 +188,6 @@ def is_chain(
             if not any(w[0] <= lo and hi <= w[-1] for w in layout.windows):
                 return False, None
     return True, layout
-
-
-@dataclass(frozen=True)
-class EmbeddedChain:
-    """A chain realised on host vertices: chain index i sits at vertices[i]."""
-
-    link: Link
-    t: int
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        expected = self.link.step * self.t + self.link.ell
-        if len(self.vertices) != expected:
-            raise InvalidInput(
-                f"{len(self.vertices)} vertices given, chain needs {expected}"
-            )
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInput("host vertices must be injective")
-
-    def realised_edges(self) -> list[tuple[Edge, int]]:
-        """(host edge, window index) for every template edge."""
-        out = []
-        step = self.link.step
-        for q in range(self.t):
-            off = q * step
-            for e in self.link.body.edges:
-                host = tuple(sorted(self.vertices[v + off] for v in e))
-                out.append((host, q))
-        return out
-
-    def host_edges(self) -> list[Edge]:
-        return sorted({e for e, _ in self.realised_edges()})
-
-    @property
-    def start(self) -> tuple[int, ...]:
-        return self.vertices[: self.link.ell]
-
-    @property
-    def end(self) -> tuple[int, ...]:
-        return self.vertices[len(self.vertices) - self.link.ell :]
 
 
 _EDGE_RE = re.compile(r"^edge\((\d+),\s*(\d+)\)$")

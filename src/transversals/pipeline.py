@@ -42,8 +42,8 @@ from .errors import (
     SearchExhausted,
 )
 from .exact import find_embedding
-from .hypergraph import Edge, Hypergraph, bits
-from .links import Link, cycle_counts
+from .hypergraph import Edge, Hypergraph, bits, induced
+from .links import Link, build_chain_template, cycle_counts
 from .rng import rng_for, split
 
 
@@ -85,25 +85,13 @@ class PipelineConfig:
             )
 
 
-def _ab_path(K: Hypergraph, block: Sequence[int], rng) -> Optional[list[int]]:
-    """Spanning path of the block inside K, or None when there is none.
-    Raises SearchExhausted when the path search runs out of nodes."""
+def _ab_path(K: Hypergraph, link: Link, block: Sequence[int], rng) -> Optional[list[int]]:
+    """Spanning path of the block (at least 2 vertices) inside K, or None
+    when there is none.  Raises SearchExhausted when the path search runs
+    out of nodes."""
     labels = sorted(block)
-    if len(labels) == 1:
-        return list(labels)
-    index = {v: i for i, v in enumerate(labels)}
-    sub_edges = frozenset(
-        (index[a], index[b])
-        for a, b in K.edges
-        if a in index and b in index
-    )
-    sub = Hypergraph(len(labels), 2, sub_edges)
-    template = Hypergraph(
-        len(labels),
-        2,
-        frozenset((i, i + 1) for i in range(len(labels) - 1)),
-    )
-    emb = find_embedding(sub, template, rng=rng)
+    template = build_chain_template(link, len(labels) - 1)
+    emb = find_embedding(induced(K, labels), template, rng=rng)
     if emb is None:
         return None
     return [labels[v] for v in emb]
@@ -122,10 +110,8 @@ def _con_bfs(
     seen = {u}
     while frontier:
         v, path = frontier.popleft()
-        if len(path) > c:
-            continue
         for x in bits(adj[v]):
-            if x == w and len(path) <= c:
+            if x == w:
                 return path + [w]
             if x in interior_pool and x not in seen and len(path) < c:
                 seen.add(x)
@@ -229,11 +215,7 @@ def _attempt(
     beta_edges = max(gamma_n + 2, round(cfg.beta * n))
     if beta_edges + 1 >= n:
         _fail(1, "colour-absorber", "instance too small for the absorber path", n=n)
-    template = Hypergraph(
-        beta_edges + 1,
-        2,
-        frozenset((i, i + 1) for i in range(beta_edges)),
-    )
+    template = build_chain_template(link, beta_edges)
     try:
         cab = build_colour_absorber(C, template, gamma_n, cfg.alpha, split(seed, "s1"))
     except (NoCopyFound, AbsorberFailed) as exc:
@@ -292,7 +274,7 @@ def _attempt(
     theta_ab = max(2, math.ceil(cfg.tau * len(cset)))
     K_ab = threshold_hypergraph(C, sorted(cset), theta_ab)
     try:
-        s2_path = _ab_path(K_ab, s2_block, rng_for(seed, "s2"))
+        s2_path = _ab_path(K_ab, link, s2_block, rng_for(seed, "s2"))
     except SearchExhausted:
         _fail(2, "vertex-absorber", "spanning-path search budget exhausted", block=len(s2_block))
     if s2_path is None:
@@ -384,7 +366,7 @@ def _attempt(
             "tiling",
             {
                 "chains": len(chains),
-                "covered": sum(len(ch.chain.vertices) for ch in chains),
+                "covered": sum(len(ch.vertices) for ch in chains),
                 "colours_used": len(pool_main) - len(c0),
             },
         )
@@ -406,9 +388,8 @@ def _attempt(
     records.append(StepRecord(7, "shrink", {"leftover": len(leftover)}))
 
     # Step 8: connect all segments into one cycle through the reservoir.
-    segments: list[list[int]] = [s1, s2_path]
-    segments += [list(ch.chain.vertices) for ch in chains]
-    segments += [list(cp.vertices) for cp in fac.copies]
+    pieces = chains + fac.copies
+    segments: list[list[int]] = [s1, s2_path] + [list(piece.vertices) for piece in pieces]
     theta_r = max(1, math.ceil(cfg.tau * rho_n))
     K_r = threshold_hypergraph(C, sorted(reserve), theta_r)
     interior_pool = set(r1_set)
@@ -477,10 +458,8 @@ def _attempt(
     if len(set(cycle_edges)) != n:
         _fail(10, "colouring", "cycle edge multiset degenerate", edges=len(set(cycle_edges)))
     mapping: dict[Edge, int] = {}
-    for ch in chains:
-        mapping.update(dict(ch.colouring))
-    for cp in fac.copies:
-        mapping.update(dict(cp.colouring))
+    for piece in pieces:
+        mapping.update(piece.colouring)
     s1_edges = set(_path_edges(s1))
     rest = [e for e in cycle_edges if e not in mapping and e not in s1_edges]
     rest_target = Hypergraph(n, 2, frozenset(rest))

@@ -275,7 +275,7 @@ def test_rainbow_tiling_covers_most_vertices():
     for rc in res.chains:
         ok, _ = is_chain_copy(rc, link)
         assert ok
-        covered |= set(rc.chain.vertices)
+        covered |= set(rc.vertices)
         for host_edge, colour in rc.colouring:
             assert host_edge in C.members[colour].edges
     assert covered | set(res.uncovered) == set(range(24))
@@ -287,9 +287,9 @@ def test_rainbow_tiling_covers_most_vertices():
 
 def is_chain_copy(rc, link):
     """Relabel the embedded chain to index order and recognise it."""
-    seq = rc.chain.vertices
+    seq = rc.vertices
     pos = {v: i for i, v in enumerate(seq)}
-    edges = {tuple(sorted(pos[v] for v in e)) for e in rc.chain.host_edges()}
+    edges = {tuple(sorted(pos[v] for v in e)) for e, _ in rc.colouring}
     cand = Hypergraph(len(seq), link.k, frozenset(edges))
     return is_chain(cand, link, mode="contain")
 

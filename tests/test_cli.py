@@ -107,6 +107,19 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert main(["solve", "--in", str(tmp_path / "missing.json")]) == EXIT_USAGE
 
 
+def test_gen_extremal_family_rejects_unsupported_sizes(tmp_path, capsys):
+    """The extremal families are 2-uniform and dirac-extremal has n members:
+    asking for another k or m is a usage error, not a silently different
+    instance."""
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--family", "bridge", "--n", "8", "--k", "3", "--out", str(out)]) == EXIT_USAGE
+    assert "k=3" in capsys.readouterr().err
+    assert main(["gen", "--family", "dirac-extremal", "--n", "8", "--m", "3", "--out", str(out)]) == EXIT_USAGE
+    assert "m=3" in capsys.readouterr().err
+    assert not out.exists()
+    run_gen(tmp_path, "bridge.json", "--family", "bridge", "--n", "8", "--m", "5")
+
+
 def test_solve_non_json_input_exits_3(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text("not json at all")

@@ -13,6 +13,11 @@ turned 473 budget-outs into answers and changed no other output, and the
 dense k = 2 group again when the engine began to skip subtrees recorded
 dead, which turned 2 budget-outs into answers (no embedding) and changed
 no other output.
+
+`rainbow_tiling`, which embeds chain templates and then colours them, is
+pinned for `edge(2,1)`, `triangle` and `pillar`; the pipeline pins reach
+only `edge(2,1)`.  Its digest was recorded while tiling chains still had a
+type of their own, before they became `RainbowCopy` objects.
 """
 
 import hashlib
@@ -22,9 +27,9 @@ from itertools import combinations
 
 import pytest
 
-from transversals.absorb import greedy_rainbow_factor
+from transversals.absorb import greedy_rainbow_factor, rainbow_tiling
 from transversals.collection import Collection
-from transversals.errors import SearchExhausted
+from transversals.errors import PartitionFailed, SearchExhausted
 from transversals.exact import find_embedding
 from transversals.hypergraph import Hypergraph
 from transversals.links import (
@@ -97,6 +102,38 @@ def factor_outputs(links, sizes, densities):
     return out
 
 
+def tiling_outputs(links, sizes, densities, Ts):
+    """Chains (vertices and colouring), uncovered vertices and unused colours
+    of `rainbow_tiling` on n-member collections, at the default partition
+    slack and with the degree audit off (slack 1.0); a partition that no
+    retry accepts is recorded as such."""
+    out = []
+    for name, link in links:
+        for n in sizes:
+            for p in densities:
+                rng = random.Random(f"tiling/{name}/{n}/{p}")
+                pairs = list(combinations(range(n), 2))
+                C = Collection(n, 2, tuple(
+                    Hypergraph(n, 2, frozenset(e for e in pairs if rng.random() < p))
+                    for _ in range(n)
+                ))
+                for T in Ts:
+                    for slack in (None, 1.0):
+                        kwargs = {} if slack is None else {"slack": slack}
+                        try:
+                            res = rainbow_tiling(C, link, T, 0.1, seed=n + T, **kwargs)
+                        except PartitionFailed:
+                            out.append([name, n, p, T, slack, "partition failed"])
+                            continue
+                        out.append([
+                            name, n, p, T, slack,
+                            [[list(rc.vertices), sorted([list(e), c] for e, c in rc.colouring)] for rc in res.chains],
+                            sorted(res.uncovered),
+                            sorted(res.unused_colours),
+                        ])
+    return out
+
+
 def sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -105,9 +142,9 @@ LINKS2 = [("edge(2,1)", single_edge_link(2, 1)), ("triangle", triangle_link()), 
 LINKS3 = [("edge(3,1)", single_edge_link(3, 1)), ("edge(3,2)", single_edge_link(3, 2))]
 BODIES = LINKS2 + [("clique(4)", clique_link(4))]
 
-# group: (outputs, SHA-256 of their JSON); 1,776, 1,232, 1,056 and 432
-# outputs, of which 343, 98 and 150 embedding budget-outs and 132 stuck
-# factors
+# group: (outputs, SHA-256 of their JSON); 1,776, 1,232, 1,056, 432 and
+# 108 outputs, of which 343, 98 and 150 embedding budget-outs, 132 stuck
+# factors and 27 rejected tiling partitions (81 tilings, 153 chains)
 GROUPS = {
     "embedding k=2 sparse": (
         lambda: embedding_outputs(LINKS2, range(6, 15), (0.25, 0.35), (2, 3, 4, 5, 6)),
@@ -124,6 +161,10 @@ GROUPS = {
     "rainbow factor": (
         lambda: factor_outputs(BODIES, range(6, 15), (0.3, 0.5, 0.7)),
         "e12c736714bc5d4c2c015951cb82da517b17558092f3afb8f3196471ffa98d4a",
+    ),
+    "rainbow tiling": (
+        lambda: tiling_outputs(LINKS2, (16, 20, 24), (0.6, 0.8), (1, 2, 3)),
+        "8539c22778e2468ce49f50fd0d8f1bc109471f6ceca7aff45da1708c9974489a",
     ),
 }
 

@@ -30,7 +30,7 @@ from transversals.exact import (
 )
 from transversals.gen import GenSpec, dirac_extremal, generate
 from transversals.hypergraph import Hypergraph, complete_graph, cycle_graph
-from transversals.links import cycle_on, single_edge_link, triangle_link
+from transversals.links import cycle_counts, cycle_on, pillar_link, single_edge_link, triangle_link
 from transversals.matching import IncrementalMatching, maximum_bipartite_matching
 from transversals.rng import rng_for
 
@@ -482,6 +482,37 @@ def test_cycle_search_agrees_with_memo_free_reference(seed, n, p, types, node_li
         assert res.nodes <= ref.nodes
         if ref.status == FOUND:
             assert res.certificate == ref.certificate
+
+
+@pytest.mark.parametrize("name, link, sizes", [
+    ("triangle", triangle_link(), (6, 7)),
+    ("pillar", pillar_link(), (6, 8)),
+])
+def test_cycle_search_agrees_with_memo_free_reference_beyond_edges(name, link, sizes):
+    """The memo-free check above, for links with more than one edge per
+    window; `pillar` has step 2, so its memo key does not hold the cycle's
+    second vertex.  60 seeded instances per link, each with the m =
+    cycle_counts(link, n) members the cycle needs; both outcomes occur, and
+    the memo skips subtrees on some of them."""
+    outcomes, memo_hits = set(), 0
+    for seed in range(60):
+        rng = random.Random(f"memo-free/{name}/{seed}")
+        n = rng.choice(sizes)
+        p = rng.uniform(0.3, 0.8)
+        types = rng.choice([0, 1, 2, 3])
+        budget = SearchBudget(node_limit=rng.choice([3999, 10**6]))
+        C = repeated_members(n, cycle_counts(link, n), p, types, rng)
+        res = find_transversal_cycle(C, link, budget)
+        ref = memo_free(find_transversal_cycle, C, link, budget)
+        if ref.status != EXHAUSTED:
+            assert res.status == ref.status
+        if budget.node_limit < 4000:
+            assert res.nodes <= ref.nodes
+            if ref.status == FOUND:
+                assert res.certificate == ref.certificate
+        outcomes.add(ref.status)
+        memo_hits += res.stats["memo_hits"]
+    assert {FOUND, NONE} <= outcomes and memo_hits > 0
 
 
 # The forced path 3-0-1-4-6 (vertices 0, 1 and 4 have degree 2) takes edges

@@ -7,6 +7,7 @@ import pytest
 from transversals.errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
 from transversals.hypergraph import Hypergraph, complete_graph, induced
 from transversals.links import (
+    Link,
     build_chain_template,
     builtin_link,
     chain_counts,
@@ -47,6 +48,21 @@ def test_make_link_rejects_ell_equal_to_m():
     # step m - ell would be 0, and no chain or cycle could advance
     with pytest.raises(InvalidInput):
         make_link(complete_graph(3), 3)
+
+
+def test_link_constructor_validates():
+    """`Link` itself checks l and the end windows, so a link built directly
+    or read from JSON is as valid as one from `make_link`."""
+    with pytest.raises(InvalidInput):
+        Link(complete_graph(3), 3)
+    with pytest.raises(InvalidInput):
+        Link(complete_graph(3), 0)
+    mismatched = Hypergraph.from_edges(3, 2, [(0, 1), (0, 2)])
+    with pytest.raises(StartEndMismatch):
+        Link(mismatched, 2)
+    with pytest.raises(StartEndMismatch):
+        Link.from_json({"ell": 2, "body": mismatched.to_json()})
+    assert Link(complete_graph(3), 2) == triangle_link()
 
 
 def test_chain_counts_single_edge_links():
