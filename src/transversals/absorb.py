@@ -24,7 +24,7 @@ from .errors import (
     SearchExhausted,
     SizesMismatch,
 )
-from .exact import _completion_schedule, _Searcher, find_embedding
+from .exact import _coloured_searcher, _completion_schedule, find_embedding
 from .hypergraph import Edge, Hypergraph, all_d_sets, bits, induced, mask_of
 from .links import Link, build_chain_template
 from .matching import augment_all, maximum_bipartite_matching
@@ -327,8 +327,7 @@ def _place_rainbow_copy(
     body_edges = body.sorted_edges()
     block_mask = mask_of(block)
     schedule = _completion_schedule(body_edges, body.n, C.k)
-    neighbours = C.union_adjacency if C.k == 2 else None
-    searcher = _Searcher(C.n, C.k, schedule, C.colour_masks, neighbours, block_mask)
+    searcher = _coloured_searcher(C, schedule, block_mask)
     if not searcher.search(sorted(free)):
         return None
     vertices = searcher.assignment

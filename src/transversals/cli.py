@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -149,6 +150,11 @@ def cmd_scan(args) -> int:
     m = args.m if args.m is not None else cycle_counts(link, args.n)
     if not args.delta_step > 0:
         raise InvalidInput(f"--delta-step must be positive, got {args.delta_step}")
+    if not math.isfinite(args.delta_from) or not math.isfinite(args.delta_to):
+        raise InvalidInput(f"--delta-from and --delta-to must be finite: {args.delta_from}, {args.delta_to}")
+    if args.trials < 0:
+        raise InvalidInput(f"--trials must not be negative, got {args.trials}")
+    SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)  # rejects a bad budget now
     deltas = []
     d = args.delta_from
     while d <= args.delta_to + 1e-9:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -27,24 +26,25 @@ PHI_DOMAIN_MISMATCH = "PhiDomainMismatch"
 class Collection:
     """Indexed sequence of k-uniform hypergraphs on a shared vertex set.
 
-    The edge -> colours index (`colour_masks`) and the union's neighbour
-    bitmasks (`union_adjacency`) are built on first use and kept for the
-    object's life; construction does not pay for them.
+    The edge -> colours index (`colour_masks`), for k = 2 the per-vertex
+    colour rows (`colour_rows`) and the union's neighbour bitmasks
+    (`union_adjacency`) are built on first use and kept for the object's
+    life; construction does not pay for them.
 
-    For k = 2 both are derived from the members' cached `adjacency` rows,
-    so each member edge is read once, by `adjacency` (and member 0's once
-    more, to reuse its edge tuples as keys).  For a vertex u the
-    rows `members[i].adjacency[u]` form an m x n bit matrix whose column v
-    is the colour bitset of the pair uv: `colour_masks` is read off n
-    transposes of a W x W bit matrix, W the least power of two >= max(n, m),
-    each log2(W) delta swaps on one int (`hypergraph.transpose`), and
-    `union_adjacency` is the OR of the rows.  There is no switch on
-    density, though sparse members are slower this way (building all three
-    views of 2-regular members at n = m = 240 takes about twice as long as
-    by per-edge passes): no caller builds `colour_masks` for a large sparse
-    collection, as the exact engine runs at small n and the pipeline needs
-    dense members.  For k >= 3, `colour_masks` is one pass over every
-    member's edges."""
+    For k = 2 all three are derived from the members' cached `adjacency`
+    rows, so each member edge is read once, by `adjacency` (and member 0's
+    once more, to reuse its edge tuples as keys).  For a vertex u the rows
+    `members[i].adjacency[u]` form an m x n bit matrix whose column v is the
+    colour bitset of the pair uv: `colour_rows[u]` is its transpose cut to
+    n entries, one of n transposes of a W x W bit matrix, W the least power
+    of two >= max(n, m), each log2(W) delta swaps on one int
+    (`hypergraph.transpose`); `colour_masks` and `union_adjacency` are read
+    off the rows.  There is no switch on density, though sparse members are
+    slower this way (building the views of 2-regular members at n = m = 240
+    takes about twice as long as by per-edge passes): no caller builds them
+    for a large sparse collection, as the exact engine runs at small n and
+    the pipeline needs dense members.  For k >= 3, `colour_masks` is one
+    pass over every member's edges."""
 
     n: int
     k: int
@@ -76,24 +76,29 @@ class Collection:
         # start a collection, which walks the members' edge sets again while
         # they are young
         masks = dict.fromkeys(self.members[0].edges) if self.members else {}
-        per_vertex = zip(*(H.adjacency for H in self.members))
-        for u, cols in enumerate(transpose(per_vertex, max(n, self.m))):
+        for u, row in enumerate(self.colour_rows):
             for v in range(u + 1, n):
-                if cols[v]:
-                    masks[(u, v)] = cols[v]
+                if row[v]:
+                    masks[(u, v)] = row[v]
         return MappingProxyType(masks)
+
+    @cached_property
+    def colour_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The colour bitset of every pair of a 2-uniform collection:
+        colour_rows[u][v] has bit i set when member i contains uv, and is 0
+        when no member does (and for u = v).  n rows of n, whatever m."""
+        if self.k != 2:
+            raise InvalidInput("colour_rows requires a 2-uniform collection")
+        n = self.n
+        per_vertex = zip(*(H.adjacency for H in self.members)) if self.members else [()] * n
+        return tuple(tuple(cols[:n]) for cols in transpose(per_vertex, max(n, self.m)))
 
     @cached_property
     def union_adjacency(self) -> tuple[int, ...]:
         """Per-vertex neighbour bitmasks of the union of a 2-uniform
         collection: bit u of union_adjacency[v] is set when some member
         contains uv."""
-        if self.k != 2:
-            raise InvalidInput("union_adjacency requires a 2-uniform collection")
-        adj = [0] * self.n
-        for H in self.members:
-            adj = list(map(or_, adj, H.adjacency))
-        return tuple(adj)
+        return tuple(mask_of(v for v, c in enumerate(row) if c) for row in self.colour_rows)
 
     def to_json(self) -> dict:
         return {

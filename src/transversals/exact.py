@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .collection import Collection, TransversalCertificate, verify_certificate
 from .errors import ColourCountMismatch, InvalidInput, SearchExhausted
-from .hypergraph import Edge, Hypergraph, mask_of
+from .hypergraph import Hypergraph, mask_of
 from .links import Link, cycle_on
 from .matching import IncrementalMatching, maximum_bipartite_matching
 from .rng import rng_for
@@ -43,7 +43,7 @@ class SearchBudget:
     time_limit: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0 or self.time_limit <= 0:
+        if not self.node_limit > 0 or not self.time_limit > 0:  # NaN is not positive either
             raise InvalidInput("budget limits must be positive")
 
 
@@ -135,16 +135,17 @@ class _Searcher:
     vertices, completing each structure edge when its last position is
     filled.  Without `colours`, `masks` is a set of host edges and a
     candidate is accepted when every edge it completes is in it.  With
-    `colours` (a colour bitset), `masks` maps each host edge to its colour
-    bitset; every completed edge must hold a colour of `colours`, and those
-    colours are pushed into an incremental matching, which keeps the
-    completed edges rainbow colourable.
+    `colours` (a colour bitset), every completed edge must hold a colour of
+    `colours`, and those colours are pushed into an incremental matching,
+    which keeps the completed edges rainbow colourable; `masks` gives an
+    edge's colour bitset, as `Collection.colour_rows` for k = 2 and as
+    `Collection.colour_masks` for k >= 3.
 
-    For k = 2, `neighbours` holds each host vertex's neighbour bitmask
-    (every edge `masks` accepts joins two neighbours), and the candidates at
-    a position are the unused vertices adjacent to every partner already
-    placed there; for k >= 3 it is None and every unused vertex is a
-    candidate.
+    For k = 2, `neighbours` holds each host vertex's neighbour bitmask (a
+    host edge, or one that some colour holds, joins two neighbours), and the
+    candidates at a position are the unused vertices adjacent to every
+    partner already placed there, so an uncoloured search accepts each one;
+    for k >= 3 it is None and every unused vertex is a candidate.
 
     A search may order twin positions: for each pair (p, q) of `ordered`,
     the host at q must lie above the host at p.  The candidates below it
@@ -193,7 +194,6 @@ class _Searcher:
         self.nodes = 0
         self.start_time = time.monotonic()
         self.assignment: list[int] = []
-        self.edge_stack: list[Edge] = []
         self.restarts = 0
         self.phase_nodes = {"flex": 0, "random": 0, "asc": 0}
         self.filtered_candidates = 0
@@ -206,13 +206,16 @@ class _Searcher:
         self.memo_hits = 0
         self.memo_colour_hits = 0
 
-    def host_edges(self, pos: int, v: int) -> list[Edge]:
-        """The host edges completed by putting host vertex v at `pos`."""
-        assignment = self.assignment
-        if self.pairs:  # the schedule holds the partner position of each edge
-            return [(x, v) if (x := assignment[p]) < v else (v, x) for p in self.schedule[pos]]
-        get = assignment.__getitem__
-        return [tuple(sorted([v, *map(get, others)])) for others in self.schedule[pos]]
+    def pushes(self, pos: int, cands: Iterable[int]) -> dict[int, list[int]]:
+        """For each host vertex v of `cands`, the colour bitsets, within
+        `colours`, of the host edges completed by putting v at `pos`, in
+        schedule order: what the search pushes for v."""
+        masks, sel, placed = self.masks, self.colours, self.assignment.__getitem__
+        if self.pairs:
+            partners = list(map(placed, self.schedule[pos]))
+            return {v: [masks[v][x] & sel for x in partners] for v in cands}
+        others = [tuple(map(placed, entry)) for entry in self.schedule[pos]]
+        return {v: [masks.get(tuple(sorted((v, *t))), 0) & sel for t in others] for v in cands}
 
     def search(
         self,
@@ -225,23 +228,20 @@ class _Searcher:
         the unused vertices of `base` in its order that pass the neighbour
         filter and the twin rule of `ordered`.  `arrange(pos, cands,
         unused)`, when given, returns the candidates to try instead
-        (reordered, filtered) and a dict of their host edges or None;
-        `unused` is the bitmask of unplaced vertices of `base`.  Whatever
-        `arrange` reads at pos and beneath it besides `unused`, the rng and
-        the positions the schedule reads, `reads(pos, unused)` must return,
-        packed into an int below 2**n; it joins the memo key.  True leaves
-        the filled positions in `assignment` and, when coloured, the
-        completed edges in `edge_stack`; False means the space is
+        (reordered, filtered) and a dict of what `pushes` gives for each, or
+        None; `unused` is the bitmask of unplaced vertices of `base`.
+        Whatever `arrange` reads at pos and beneath it besides `unused`, the
+        rng and the positions the schedule reads, `reads(pos, unused)` must
+        return, packed into an int below 2**n; it joins the memo key.  True
+        leaves the filled positions in `assignment`, from which
+        `certificate` rebuilds the completed edges; False means the space is
         exhausted."""
         schedule = self.schedule
         positions = len(schedule)
         assignment = self.assignment = [-1] * positions
-        edge_stack = self.edge_stack = []
-        masks = self.masks
-        neighbours = self.neighbours
-        sel = self.colours
+        masks, neighbours, pairs, sel = self.masks, self.neighbours, self.pairs, self.colours
         matcher = None if sel is None else IncrementalMatching(sel.bit_length())
-        host_edges = self.host_edges
+        push, pop = (None, None) if matcher is None else (matcher.push, matcher.pop)
         node_limit, time_limit, cap = self.node_limit, self.time_limit, self.cap
         nodes = self.nodes
         filtered = self.filtered_candidates
@@ -251,7 +251,7 @@ class _Searcher:
         floor = [-1] * positions  # floor[q] = p: the host at q lies above the host at p
         for p, q in ordered:
             floor[q] = p
-        live, reads_shift = _key_layout(schedule, self.pairs, self.n, ordered)
+        live, reads_shift = _key_layout(schedule, pairs, self.n, ordered)
         key_bits = reads_shift + (self.n if reads else 0)
         tainted = 0  # colour reasons met so far: Hall and missing-edge rejections, colour hits
 
@@ -261,33 +261,6 @@ class _Searcher:
             for mask in sorted(matcher.masks):
                 packed = packed << width | mask
             return packed << key_bits | key
-
-        def push_all(hosts: list[Edge]) -> bool:
-            nonlocal tainted
-            get = masks.get
-            pushed = [get(host, 0) & sel for host in hosts]
-            if not all(pushed):
-                self.missing_edge_rejections += 1
-                tainted += 1
-                return False
-            push = matcher.push
-            for count, mask in enumerate(pushed):
-                if not push(mask):
-                    for _ in range(count):
-                        matcher.pop()
-                    self.hall_rejections += 1
-                    tainted += 1
-                    return False
-            edge_stack.extend(hosts)
-            return True
-
-        def retract(count: int) -> None:
-            if matcher is not None:
-                for _ in range(count):
-                    matcher.pop()
-                del edge_stack[len(edge_stack) - count:]
-
-        accept = masks.issuperset if matcher is None else push_all
 
         def dfs(pos: int, unused: int) -> bool:
             nonlocal nodes, filtered, hits, colour_hits, tainted, symmetry_cuts
@@ -307,18 +280,21 @@ class _Searcher:
                 return False
             before = tainted
             allowed = unused
-            if neighbours is not None:
-                for p in schedule[pos]:
-                    allowed &= neighbours[assignment[p]]
+            if pairs:  # the partner of each completed edge, and the neighbour filter
+                partners = list(map(assignment.__getitem__, schedule[pos]))
+                for x in partners:
+                    allowed &= neighbours[x]
                 filtered += (unused ^ allowed).bit_count()
+            else:  # the placed vertices of each completed edge
+                partners = [tuple(map(assignment.__getitem__, others)) for others in schedule[pos]]
             if floor[pos] >= 0:
                 below = allowed & ((1 << assignment[floor[pos]]) - 1)
                 symmetry_cuts += below.bit_count()
                 allowed ^= below
             cands = [v for v in base if allowed >> v & 1]
-            hosts_of = None
+            given = None
             if arrange is not None:
-                cands, hosts_of = arrange(pos, cands, unused)
+                cands, given = arrange(pos, cands, unused)
             for v in cands:
                 if nodes >= cap:
                     raise SearchExhausted(f"search reached its cap of {cap} nodes")
@@ -327,13 +303,37 @@ class _Searcher:
                     raise SearchExhausted(f"search used its {node_limit} nodes")
                 if nodes % 4096 == 0 and time.monotonic() - self.start_time > time_limit:
                     raise SearchExhausted(f"search used its {time_limit} s")
-                hosts = hosts_of[v] if hosts_of else host_edges(pos, v)
-                if accept(hosts):
-                    assignment[pos] = v
-                    if dfs(pos + 1, unused ^ 1 << v):
-                        return True
-                    retract(len(hosts))
-                    assignment[pos] = -1
+                if matcher is not None:
+                    if given:
+                        pushed = given[v]
+                    elif pairs:
+                        row = masks[v]
+                        pushed = [row[x] & sel for x in partners]
+                    else:
+                        pushed = [masks.get(tuple(sorted((v, *t))), 0) & sel for t in partners]
+                    if 0 in pushed:  # a completed edge that no usable colour holds
+                        self.missing_edge_rejections += 1
+                        tainted += 1
+                        continue
+                    count = 0
+                    for mask in pushed:
+                        if not push(mask):
+                            break
+                        count += 1
+                    if count < len(pushed):
+                        for _ in range(count):
+                            pop()
+                        self.hall_rejections += 1
+                        tainted += 1
+                        continue
+                elif not pairs and not masks.issuperset([tuple(sorted((v, *t))) for t in partners]):
+                    continue
+                assignment[pos] = v
+                if dfs(pos + 1, unused ^ 1 << v):
+                    return True
+                if matcher is not None:
+                    for _ in pushed:
+                        pop()
             if len(dead) < memo_cap:
                 if tainted == before:
                     dead.add(key)
@@ -354,12 +354,20 @@ class _Searcher:
             self.memo_hits, self.memo_colour_hits = hits, colour_hits
 
     def certificate(self, n: int, k: int) -> TransversalCertificate:
-        """Colours by replay: the batch matching of the completed edges in
-        push order, which is the assignment an augmenting-path matcher grown
-        by the same pushes would hold."""
-        phi = maximum_bipartite_matching([self.masks[e] for e in self.edge_stack], self.colours)
-        target = Hypergraph(n, k, frozenset(self.edge_stack))
-        return TransversalCertificate.from_mapping(target, dict(zip(self.edge_stack, phi)))
+        """Colours by replay: the completed edges, rebuilt in push order
+        from `assignment` and the schedule, go through the batch matching,
+        which is the assignment an augmenting-path matcher grown by the same
+        pushes would hold."""
+        get = self.assignment.__getitem__
+        edges = [
+            tuple(sorted([get(pos), *map(get, (entry,) if self.pairs else entry)]))
+            for pos, entries in enumerate(self.schedule)
+            for entry in entries
+        ]
+        masks = [self.masks[u][v] for u, v in edges] if self.pairs else [self.masks[e] for e in edges]
+        phi = maximum_bipartite_matching(masks, self.colours)
+        target = Hypergraph(n, k, frozenset(edges))
+        return TransversalCertificate.from_mapping(target, dict(zip(edges, phi)))
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start_time
@@ -380,12 +388,12 @@ class _Searcher:
         return SearchResult(status, certificate, self.nodes, self.elapsed(), stats)
 
 
-def _coloured_searcher(C: Collection, budget: SearchBudget, schedule: Schedule) -> _Searcher:
-    neighbours = C.union_adjacency if C.k == 2 else None
-    return _Searcher(
-        C.n, C.k, schedule, C.colour_masks, neighbours, (1 << C.m) - 1,
-        budget.node_limit, budget.time_limit,
-    )
+def _coloured_searcher(
+    C: Collection, schedule: Schedule, colours: int, budget: SearchBudget = SearchBudget(math.inf)
+) -> _Searcher:
+    """The engine over C's colour bitsets, restricted to `colours`."""
+    masks, neighbours = (C.colour_rows, C.union_adjacency) if C.k == 2 else (C.colour_masks, None)
+    return _Searcher(C.n, C.k, schedule, masks, neighbours, colours, budget.node_limit, budget.time_limit)
 
 
 def _cycle_search(
@@ -403,8 +411,6 @@ def _cycle_search(
     options on the completed edges first), or "random" (shuffled) — the
     latter two are find-fast heuristics for the restart phase."""
     step = link.step
-    masks = searcher.masks
-    host_edges = searcher.host_edges
     # reflection symmetry of the 2-uniform cycle: with vertex 0 pinned to
     # position 0, only the orientation whose closing vertex (position n-1)
     # lies below assignment[1] is searched; the closing vertex is an unused
@@ -422,28 +428,21 @@ def _cycle_search(
         def reads(pos: int, unused: int) -> int:
             return searcher.assignment[0] if pos > 0 else 0
 
-    def arrange(pos: int, cands: list[int], unused: int) -> tuple[list[int], Optional[dict[int, list[Edge]]]]:
+    def arrange(pos: int, cands: list[int], unused: int) -> tuple[list[int], Optional[dict[int, list[int]]]]:
         assignment = searcher.assignment
-        hosts_of = None
+        pushed_of = None
         if pos == 0 and step == 1:
             # rotational symmetry: with every position an anchor, vertex 0
             # can be pinned to position 0
             return [0], None
-        if zero_nbrs is not None and pos > 1 and not reads(pos, unused):
+        if zero_nbrs is not None and pos > 1 and not zero_nbrs & unused & ((1 << assignment[1]) - 1):
             searcher.reflection_cuts += 1
             return [], None
         if order == "flex" and pos > 0:
             # most colour options on the completed edges first (ties at
-            # random, then by vertex), keeping each candidate's host edges
-            hosts_of = {}
-            keyed = []
-            for v in cands:
-                hosts = hosts_of[v] = host_edges(pos, v)
-                options = 0
-                for host in hosts:
-                    options += masks.get(host, 0).bit_count()
-                keyed.append((-options, rng.random(), v))
-            keyed.sort()
+            # random, then by vertex), keeping each candidate's pushes
+            pushed_of = searcher.pushes(pos, cands)
+            keyed = sorted([(-sum(map(int.bit_count, pushed_of[v])), rng.random(), v) for v in cands])
             cands = [v for _, _, v in keyed]
         elif order == "random":
             rng.shuffle(cands)
@@ -456,7 +455,7 @@ def _cycle_search(
             kept = [v for v in cands if zero_nbrs & ((1 << v) - 1)]
             searcher.reflection_cuts += len(cands) - len(kept)
             cands = kept
-        return cands, hosts_of
+        return cands, pushed_of
 
     start = searcher.nodes
     searcher.cap = start + node_cap
@@ -487,7 +486,7 @@ def find_transversal_cycle(
         raise ColourCountMismatch(
             f"collection has {C.m} members; an A-cycle on {n} vertices has {cycle.num_edges} edges"
         )
-    searcher = _coloured_searcher(C, budget, _completion_schedule(cycle.edges, n, C.k))
+    searcher = _coloured_searcher(C, _completion_schedule(cycle.edges, n, C.k), (1 << C.m) - 1, budget)
     probe_budget = budget.node_limit // 2
     rng = rng_for(0x5EED, "cycle-restarts")
     outcome: Optional[bool] = None
@@ -527,7 +526,7 @@ def find_transversal_subgraph(
     if F.k != C.k:
         raise InvalidInput("pattern uniformity differs from the collection")
     rank, schedule = _pattern_schedule(F)
-    searcher = _coloured_searcher(C, budget, schedule)
+    searcher = _coloured_searcher(C, schedule, (1 << C.m) - 1, budget)
     # the hosts of twin pattern vertices are interchangeable, so each class
     # takes them in increasing order; the ascending sweep's first copy
     # already does, so only node counts fall

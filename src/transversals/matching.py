@@ -79,33 +79,32 @@ class IncrementalMatching:
     """
 
     def __init__(self, m: int) -> None:
-        self.masks: list[int] = []
-        self.match_left: list[int] = []
-        self.match_right: list[int] = [-1] * m
+        self.masks: list[int] = []  # per pushed left, its colours
+        self.match_right: list[int] = [-1] * m  # per colour, the left holding it or -1
         self.free = (1 << m) - 1
-        self._paths: list[list[int]] = []  # per push, the colours it assigned; the last was free
+        self._paths: list[int | list[int]] = []  # per push: the free colour's bit, or its path
 
     def __len__(self) -> int:
-        return len(self.match_left)
+        return len(self.masks)
 
     def push(self, mask: int) -> bool:
         hit = mask & self.free
         if hit:
-            path = [(hit & -hit).bit_length() - 1]
+            path = hit & -hit
+            self.match_right[path.bit_length() - 1] = len(self.masks)
+            self.free ^= path
         else:
             path = self._augmenting_path(mask)
             if path is None:
                 return False
-        # the new left takes path[0]; each holder along the path moves on to
-        # the next colour, and the last colour was free
-        match_left, match_right = self.match_left, self.match_right
-        holder = len(match_left)
+            # the new left takes path[0]; each holder along the path moves
+            # on to the next colour, and the last colour was free
+            match_right = self.match_right
+            holder = len(self.masks)
+            for c in path:
+                holder, match_right[c] = match_right[c], holder
+            self.free ^= 1 << path[-1]
         self.masks.append(mask)
-        match_left.append(-1)
-        for c in path:
-            holder, match_right[c] = match_right[c], holder
-            match_left[match_right[c]] = c
-        self.free ^= 1 << path[-1]
         self._paths.append(path)
         return True
 
@@ -141,18 +140,20 @@ class IncrementalMatching:
     def pop(self) -> None:
         """Undo the most recent successful push."""
         path = self._paths.pop()
-        match_left, match_right = self.match_left, self.match_right
+        self.masks.pop()
+        if path.__class__ is int:  # a free colour's bit, the common case
+            self.match_right[path.bit_length() - 1] = -1
+            self.free |= path
+            return
+        match_right = self.match_right
         prev = path[0]
         for c in path[1:]:
-            holder = match_right[c]
-            match_right[prev] = holder
-            match_left[holder] = prev
+            match_right[prev] = match_right[c]
             prev = c
         match_right[prev] = -1
         self.free |= 1 << prev
-        self.masks.pop()
-        match_left.pop()
 
     def assignment(self) -> list[int]:
-        """The colour each pushed left holds, in push order."""
-        return list(self.match_left)
+        """The colour each pushed left holds, in push order; every pushed
+        left holds one, so this reads `match_right` sorted by holder."""
+        return [c for _, c in sorted((u, c) for c, u in enumerate(self.match_right) if u >= 0)]

@@ -246,3 +246,35 @@ def test_scan_caps_workers_at_trials(tmp_path, monkeypatch):
                  "--out", str(out)]) == EXIT_SUCCESS
     assert requested == [3, 3]
     assert [r["trials"] for r in read_scan(out)] == ["3", "3"]
+
+
+def test_solve_rejects_nan_budget(tmp_path, capsys):
+    inst = run_gen(tmp_path, "inst.json", "--family", "random", "--n", "6",
+                   "--delta", "0.6", "--seed", "1")
+    for secs in ("nan", "0", "-1"):
+        assert main(["solve", "--in", str(inst), "--budget-secs", secs]) == EXIT_USAGE
+        assert "budget limits must be positive" in capsys.readouterr().err
+
+
+def test_scan_rejects_negative_trials(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--n", "8", "--delta-from", "0.4", "--delta-to", "0.4",
+                 "--trials", "-1", "--out", str(out)]) == EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err and not out.exists()
+
+
+def test_scan_rejects_non_finite_delta_bounds(capsys):
+    for lo, hi in (("nan", "0.5"), ("0.3", "nan"), ("-inf", "0.5"), ("0.3", "inf")):
+        argv = ["scan", "--n", "8", f"--delta-from={lo}", f"--delta-to={hi}", "--trials", "1"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr()
+        assert "--delta-from and --delta-to must be finite" in err.err and err.out == ""
+
+
+def test_scan_rejects_a_bad_budget_before_any_output(capsys):
+    for trials in ("0", "1"):
+        argv = ["scan", "--n", "8", "--delta-from", "0.4", "--delta-to", "0.4",
+                "--trials", trials, "--budget-secs", "nan"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr()
+        assert "budget limits must be positive" in err.err and err.out == ""

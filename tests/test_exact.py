@@ -515,6 +515,31 @@ def test_cycle_search_agrees_with_memo_free_reference_beyond_edges(name, link, s
     assert {FOUND, NONE} <= outcomes and memo_hits > 0
 
 
+def test_cycle_search_agrees_with_memo_free_reference_on_fixed_instances():
+    """The memo-free check for `edge(2,1)` on a fixed, seeded instance list,
+    so that every run checks the same instances: 120 collections with
+    n = 5-8 whose members repeat 0-3 random graphs.  Both outcomes occur,
+    and the memo meets both structural and colour keys."""
+    outcomes, memo_hits, colour_hits = set(), 0, 0
+    for seed in range(120):
+        rng = random.Random(f"memo-free/edge(2,1)/{seed}")
+        n = rng.randint(5, 8)
+        C = repeated_members(n, n, rng.uniform(0.2, 0.9), rng.choice([0, 1, 2, 3]), rng)
+        budget = SearchBudget(node_limit=rng.choice([3999, 10**6]))
+        res = find_transversal_cycle(C, LINK21, budget)
+        ref = memo_free(find_transversal_cycle, C, LINK21, budget)
+        if ref.status != EXHAUSTED:
+            assert res.status == ref.status
+        if budget.node_limit < 4000:
+            assert res.nodes <= ref.nodes
+            if ref.status == FOUND:
+                assert res.certificate == ref.certificate
+        outcomes.add(ref.status)
+        memo_hits += res.stats["memo_hits"]
+        colour_hits += res.stats["memo_colour_hits"]
+    assert {FOUND, NONE} <= outcomes and memo_hits > 0 and colour_hits > 0
+
+
 # The forced path 3-0-1-4-6 (vertices 0, 1 and 4 have degree 2) takes edges
 # 14 and 46, whose only colours are 6 and 2; those are also the only colours
 # of 23, 27, 35 and 67, so the one transversal cycle is 0-1-4-6-2-5-7-3.
@@ -622,3 +647,32 @@ def test_memo_is_released_when_the_search_returns(monkeypatch):
     finally:
         gc.enable()
     assert results[0].stats["memo_states"] > 0
+
+
+@pytest.mark.parametrize("name, link, sizes", [
+    ("triangle", triangle_link(), (5, 6)),
+    ("edge(3,2)", single_edge_link(3, 2), (5, 6)),
+    ("edge(3,1)", single_edge_link(3, 1), (4, 6)),
+    ("pillar", pillar_link(), (6,)),
+])
+def test_cycle_search_agrees_with_brute_force_oracle_beyond_edges(name, link, sizes):
+    """The brute-force oracle for the links other than `edge(2,1)`: every
+    relabelling of `cycle_on(link, n)` inside the union, each distinct edge
+    set checked by an exact rainbow colouring.  80 seeded collections per
+    link whose members repeat 1-3 random graphs, so Hall binds; both
+    outcomes occur, and a found cycle is one of the oracle's copies."""
+    outcomes, hall = set(), 0
+    for seed in range(80):
+        rng = random.Random(f"oracle/{name}/{seed}")
+        n = rng.choice(sizes)
+        graphs = [random_pattern(n, link.k, rng.uniform(0.4, 1.0), rng) for _ in range(rng.randint(1, 3))]
+        C = Collection(n, link.k, tuple(rng.choice(graphs) for _ in range(cycle_counts(link, n))))
+        copies = oracle_transversal_copies(C, cycle_on(link, n))
+        res = find_transversal_cycle(C, link)
+        assert res.status == (FOUND if copies else NONE)
+        if res.status == FOUND:
+            assert verify_certificate(C, res.certificate, link)
+            assert res.certificate.target.edges in copies
+        outcomes.add(res.status)
+        hall += res.stats["hall_rejections"]
+    assert outcomes == {FOUND, NONE} and hall > 0

@@ -258,3 +258,30 @@ def test_transpose_of_several_matrices_and_zero_rows():
 def test_transpose_rejects_rows_outside_the_matrix(rows, width):
     with pytest.raises(InvalidInput):
         list(transpose([rows], width))
+
+
+def reference_colour_rows(C):
+    rows = [[0] * C.n for _ in range(C.n)]
+    for i, H in enumerate(C.members):
+        for u, v in H.edges:
+            rows[u][v] |= 1 << i
+            rows[v][u] |= 1 << i
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n,m", [(9, 3), (3, 9), (16, 16), (17, 65), (65, 17), (5, 0), (0, 0), (0, 4)])
+def test_k2_colour_rows_are_symmetric_and_agree_with_colour_masks(n, m):
+    """`colour_rows[u][v]` is the colour bitset of uv for every pair, 0 on
+    non-edges and the diagonal, with n rows of n entries for m above, below
+    and at n, and for m = 0."""
+    rng = random.Random(f"rows/{n}/{m}")
+    C = Collection(n, 2, tuple(random_graph(n, rng.random(), rng) for _ in range(m)))
+    rows = C.colour_rows
+    assert rows == reference_colour_rows(C)
+    assert len(rows) == n and all(len(row) == n for row in rows)
+    masks = C.colour_masks
+    for u, v in product(range(n), repeat=2):
+        assert rows[u][v] == rows[v][u] == masks.get((min(u, v), max(u, v)), 0)
+    assert C.colour_rows is rows  # cached
+    with pytest.raises(InvalidInput):
+        Collection(4, 3, (complete_uniform(4, 3),)).colour_rows

@@ -207,3 +207,26 @@ def test_augment_all_agrees_with_kuhn_reference(nl, nr, data):
         match_left[u] = v
     assert maximum_bipartite_matching(rows, second_allowed) == match_left
     assert [u for u in range(nl) if match_left[u] == -1] == unmatched
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_assignment_equals_a_replay_of_the_surviving_pushes(m, data):
+    """A pop undoes its push exactly, so after any push/pop sequence the
+    matcher holds what a fresh one holds after pushing the surviving masks
+    in order; `assignment` reads the colours back off `match_right`."""
+    ops = data.draw(st.lists(st.none() | st.integers(0, (1 << m) - 1), max_size=30))
+    inc = IncrementalMatching(m)
+    for op in ops:
+        if op is None:
+            if len(inc):
+                inc.pop()
+        else:
+            inc.push(op)
+        fresh = IncrementalMatching(m)
+        assert all(fresh.push(mask) for mask in inc.masks)
+        held = inc.assignment()
+        assert held == fresh.assignment() and inc.match_right == fresh.match_right
+        assert len(held) == len(inc) == len(set(held)) and -1 not in held
+        assert all(mask >> c & 1 for mask, c in zip(inc.masks, held))
+        assert inc.free == ((1 << m) - 1) & ~mask_of(held)
