@@ -25,7 +25,7 @@ from .errors import (
     SizesMismatch,
 )
 from .exact import _coloured_searcher, _completion_schedule, find_embedding
-from .hypergraph import Edge, Hypergraph, all_d_sets, bits, induced, mask_of
+from .hypergraph import Edge, Hypergraph, bits, induced, mask_of
 from .links import Link, build_chain_template
 from .matching import augment_all, maximum_bipartite_matching
 from .rng import rng_for
@@ -209,22 +209,23 @@ def degree_preserving_partition(
     seed: int,
     retries: int = DEFAULT_RETRIES,
     slack: float = DEFAULT_PARTITION_SLACK,
-    min_size: int = 1,
     within: Optional[Sequence[int]] = None,
 ) -> Optional[list[list[int]]]:
-    """Uniform random partition into the given part sizes, accepted only if
-    every (k-1)-set keeps, in every member and into every part, at least a
-    proportional share of its degree.  None after retries.
+    """Uniform random partition of a 2-uniform collection's vertices into
+    the given part sizes, accepted only if every vertex keeps, in every
+    member and into every part, at least a proportional share of its degree.
+    None after retries; an infinite slack accepts the first sample.
 
     `within` restricts the universe being partitioned (default: all of V)."""
+    if C.k != 2:
+        raise InvalidInput("the degree-preserving partition is 2-uniform only")
     n = C.n
     universe = sorted(range(n) if within is None else set(within))
     if sum(sizes) != len(universe):
         raise SizesMismatch(f"sizes sum to {sum(sizes)}, need {len(universe)}")
-    if any(s < min_size for s in sizes):
-        raise InvalidInput(f"every part must have at least {min_size} vertices")
-    d = C.k - 1
-    frac = collection_min_degree(C, d) / n + alpha / 2 - slack
+    if any(s < 0 for s in sizes):
+        raise InvalidInput("part sizes must be nonnegative")
+    frac = collection_min_degree(C, 1) / n + alpha / 2 - slack
     for attempt in range(retries):
         rng = rng_for(seed, "partition", attempt)
         perm = list(universe)
@@ -234,37 +235,20 @@ def degree_preserving_partition(
         for s in sizes:
             parts.append(sorted(perm[at : at + s]))
             at += s
-        if _partition_audit(C, parts, d, frac):
+        if _partition_audit(C, parts, frac):
             return parts
     return None
 
 
-def _degree_into(H: Hypergraph, S: Edge, part: set[int]) -> int:
-    Sset = set(S)
-    return sum(
-        1 for e in H.edges if Sset <= set(e) and set(e) - Sset <= part
-    )
-
-
-def _partition_audit(C: Collection, parts, d: int, frac: float) -> bool:
-    k = C.k
-    if k == 2 and d == 1:
-        audited = [(mask_of(part), frac * len(part)) for part in parts if frac * len(part) > 0]
-        for H in C.members:
-            adj = H.adjacency
-            for part_mask, need in audited:
-                if any((nbrs & part_mask).bit_count() < need for nbrs in adj):
-                    return False
-        return True
+def _partition_audit(C: Collection, parts, frac: float) -> bool:
+    """Whether every vertex has, in every member, at least frac * |part|
+    neighbours in every part (2-uniform)."""
+    audited = [(mask_of(part), frac * len(part)) for part in parts if frac * len(part) > 0]
     for H in C.members:
-        for part in parts:
-            part_set = set(part)
-            need = frac * len(part) ** (k - d)
-            if need <= 0:
-                continue
-            for S in all_d_sets(C.n, d):
-                if _degree_into(H, S, part_set - set(S)) < need:
-                    return False
+        adj = H.adjacency
+        for part_mask, need in audited:
+            if any((nbrs & part_mask).bit_count() < need for nbrs in adj):
+                return False
     return True
 
 
@@ -375,11 +359,6 @@ def rainbow_tiling(
     if part_size < link.m:
         raise InvalidInput("parts too small to hold a single link body")
     sizes = [part_size] * T + [len(universe) - T * part_size]
-    if sizes[-1] == 0:
-        sizes.pop()
-        slack_part_present = False
-    else:
-        slack_part_present = True
     parts = degree_preserving_partition(
         C,
         sizes,
@@ -391,12 +370,13 @@ def rainbow_tiling(
     )
     if parts is None:
         raise PartitionFailed("no acceptable tiling partition within retries")
-    work_parts = parts[:T] if slack_part_present else parts
     unused = set(pool_cols)
     theta = max(1, math.ceil(eta * len(pool_cols)))
     chains: list[RainbowCopy] = []
     covered: set[int] = set()
-    for idx, part in enumerate(work_parts):
+    for idx, part in enumerate(parts[:T]):
+        if len(unused) < theta:
+            break  # fewer unused colours than theta: the later parts stay uncovered
         rng = rng_for(seed, "tiling-part", idx)
         placed = _chain_in_part(C, link, part, unused, theta, rng)
         if placed is None:

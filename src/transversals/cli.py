@@ -152,6 +152,8 @@ def cmd_scan(args) -> int:
         raise InvalidInput(f"--delta-step must be positive, got {args.delta_step}")
     if not math.isfinite(args.delta_from) or not math.isfinite(args.delta_to):
         raise InvalidInput(f"--delta-from and --delta-to must be finite: {args.delta_from}, {args.delta_to}")
+    if args.delta_from > args.delta_to:
+        raise InvalidInput(f"--delta-from {args.delta_from} exceeds --delta-to {args.delta_to}")
     if args.trials < 0:
         raise InvalidInput(f"--trials must not be negative, got {args.trials}")
     SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_secs)  # rejects a bad budget now

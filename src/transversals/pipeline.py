@@ -14,9 +14,8 @@ miss, never a refutation.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .absorb import (
@@ -47,42 +46,28 @@ from .links import Link, build_chain_template, cycle_counts
 from .rng import rng_for, split
 
 
+# Size fractions of the construction, ordered GAMMA < BETA < ALPHA and
+# OMEGA < NU < ETA.  The reserved colour pool has no fraction of its own: it
+# is derived from the sizes of the built structures so that the colour and
+# vertex counts close exactly.
+ALPHA = 0.2  # colour share of the colour absorber's host edges
+BETA = 0.15  # colour absorber path edges
+GAMMA = 0.03  # reserve colours the colour absorber takes up
+TAU = 0.1  # colour share of the absorber and reservoir threshold graphs
+ETA = 0.08  # vertex absorber capacity; colour share of the tiling graphs
+NU = 0.05  # connector reservoir
+OMEGA = 0.02  # twice the share of the tiling region left uncovered
+T = 2  # tiling parts
+CONNECTOR_MAX = 4  # edges of one connector through the reservoir
+PARTITION_SLACK = 0.4  # degree share the audited partitions may lose
+
+
 @dataclass
 class PipelineConfig:
-    """Size fractions and retry policy.
+    """Seed and retry policy."""
 
-    The intended orderings gamma < beta < alpha and omega < nu < eta are
-    advisory: small n cannot honour them, so violations only warn.  The
-    reserved colour pool has no fraction of its own: it is derived from the
-    sizes of the built structures so that the colour and vertex counts close
-    exactly."""
-
-    alpha: float = 0.2
-    beta: float = 0.15
-    gamma: float = 0.03
-    tau: float = 0.1
-    eta: float = 0.08
-    nu: float = 0.05
-    omega: float = 0.02
-    T: int = 2
-    c: int = 4
     retries: int = 20
     seed: int = 0
-    partition_slack: float = 0.4
-    hierarchy_ok: bool = field(init=False, default=True)
-
-    def __post_init__(self) -> None:
-        if not (self.gamma < self.beta < self.alpha):
-            self.hierarchy_ok = False
-            warnings.warn(
-                "fraction ordering gamma < beta < alpha violated",
-                stacklevel=2,
-            )
-        if not (self.omega < self.nu < self.eta):
-            self.hierarchy_ok = False
-            warnings.warn(
-                "fraction ordering omega < nu < eta violated", stacklevel=2
-            )
 
 
 def _ab_path(K: Hypergraph, link: Link, block: Sequence[int], rng) -> Optional[list[int]]:
@@ -101,8 +86,6 @@ def _con_bfs(
     K: Hypergraph, u: int, w: int, interior_pool: set[int], c: int
 ) -> Optional[list[int]]:
     """Shortest u-w path of length <= c with interior inside interior_pool."""
-    if c < 1:
-        return None
     adj = K.adjacency
     if adj[u] >> w & 1:
         return [u, w]
@@ -184,7 +167,7 @@ def solve_transversal_hamilton(
     for attempt in range(cfg.retries):
         records: list[StepRecord] = []
         try:
-            cert = _attempt(C, link, cfg, split(cfg.seed, "attempt", attempt), records)
+            cert = _attempt(C, link, split(cfg.seed, "attempt", attempt), records)
             return PipelineRun("success", cert, None, records, attempt + 1, cfg.seed)
         except _StepFailure as sf:
             last_failure = sf.report
@@ -203,7 +186,6 @@ def _path_edges(seq: Sequence[int]) -> list[Edge]:
 def _attempt(
     C: Collection,
     link: Link,
-    cfg: PipelineConfig,
     seed: int,
     records: list[StepRecord],
 ) -> TransversalCertificate:
@@ -211,13 +193,13 @@ def _attempt(
 
     # Step 1: colour absorber — a short path whose edges can be rainbow
     # coloured from A plus ANY gamma_n leftover reserve colours.
-    gamma_n = max(1, round(cfg.gamma * n))
-    beta_edges = max(gamma_n + 2, round(cfg.beta * n))
+    gamma_n = max(1, round(GAMMA * n))
+    beta_edges = max(gamma_n + 2, round(BETA * n))
     if beta_edges + 1 >= n:
         _fail(1, "colour-absorber", "instance too small for the absorber path", n=n)
     template = build_chain_template(link, beta_edges)
     try:
-        cab = build_colour_absorber(C, template, gamma_n, cfg.alpha, split(seed, "s1"))
+        cab = build_colour_absorber(C, template, gamma_n, ALPHA, split(seed, "s1"))
     except (NoCopyFound, AbsorberFailed) as exc:
         _fail(1, "colour-absorber", str(exc), beta_edges=beta_edges, gamma_n=gamma_n)
     s1 = list(cab.S)  # path order
@@ -241,29 +223,28 @@ def _attempt(
     # leftover vertex set can later be spliced between pair ends.  Built and
     # audited inside the threshold graph of the flexible colours.
     remaining = sorted(set(range(n)) - set(s1))
-    capacity_target = max(1, math.ceil(cfg.eta * n))
+    capacity_target = max(1, math.ceil(ETA * n))
     leave_min = max(3, round(0.25 * n))
     pairs_budget = max(1, (len(remaining) - leave_min) // 2)
     pairs = min(max(1, math.ceil(capacity_target / 0.35)), pairs_budget)
     s2_size = 2 * pairs
-    nu_n = min(math.floor(cfg.nu * n), max(0, len(remaining) - s2_size - 2))
+    nu_n = min(math.floor(NU * n), max(0, len(remaining) - s2_size - 2))
     v_rest = len(remaining) - s2_size - nu_n
-    r2 = min(max(2, 2 * cfg.T + 2), max(0, v_rest - 2))
+    r2 = min(max(2, 2 * T + 2), max(0, v_rest - 2))
     vp_size = v_rest - r2
     sizes = [s2_size, nu_n, r2, vp_size]
     # Small parts cannot meet a uniform degree fraction, so fall back to an
-    # unaudited sample when the audited one fails; later steps verify their
-    # own postconditions regardless.
+    # unaudited sample (infinite slack) when the audited one fails; later
+    # steps verify their own postconditions regardless.
     parts = None
-    for slack in (cfg.partition_slack, 1.0):
+    for slack in (PARTITION_SLACK, math.inf):
         parts = degree_preserving_partition(
             C,
             sizes,
-            cfg.alpha,
+            ALPHA,
             split(seed, "partition"),
             retries=5,
             slack=slack,
-            min_size=0,
             within=remaining,
         )
         if parts is not None:
@@ -271,7 +252,7 @@ def _attempt(
     if parts is None:
         _fail(2, "partition", "no degree-preserving partition within retries", sizes=sizes)
     s2_block, r1_set, r2_set, vp = parts
-    theta_ab = max(2, math.ceil(cfg.tau * len(cset)))
+    theta_ab = max(2, math.ceil(TAU * len(cset)))
     K_ab = threshold_hypergraph(C, sorted(cset), theta_ab)
     try:
         s2_path = _ab_path(K_ab, link, s2_block, rng_for(seed, "s2"))
@@ -332,34 +313,31 @@ def _attempt(
     )
 
     # Step 5: rainbow chain tiling of the main region from the main pool.
-    t_eff = min(cfg.T, int((1 - cfg.omega / 2) * n0) // link.m)
-    if t_eff > 0:
-        tiling = None
-        for slack in (cfg.partition_slack, 1.0):
-            try:
-                tiling = rainbow_tiling(
-                    C,
-                    link,
-                    t_eff,
-                    cfg.omega,
-                    split(seed, "tiling"),
-                    alpha=cfg.alpha,
-                    eta=cfg.eta,
-                    retries=5,
-                    within=vp,
-                    pool=pool_main,
-                    slack=slack,
-                )
-                break
-            except PartitionFailed:
-                continue
-        if tiling is None:
-            _fail(5, "tiling", "no acceptable tiling partition", T=t_eff)
-        chains = tiling.chains
-        c0 = sorted(tiling.unused_colours)
-        uncovered = set(tiling.uncovered)
-    else:
-        chains, c0, uncovered = [], list(pool_main), set(vp)
+    t_eff = min(T, int((1 - OMEGA / 2) * n0) // link.m)
+    tiling = None
+    for slack in (PARTITION_SLACK, math.inf):
+        try:
+            tiling = rainbow_tiling(
+                C,
+                link,
+                t_eff,
+                OMEGA,
+                split(seed, "tiling"),
+                alpha=ALPHA,
+                eta=ETA,
+                retries=5,
+                within=vp,
+                pool=pool_main,
+                slack=slack,
+            )
+            break
+        except PartitionFailed:
+            continue
+    if tiling is None:
+        _fail(5, "tiling", "no acceptable tiling partition", T=t_eff)
+    chains = tiling.chains
+    c0 = sorted(tiling.unused_colours)
+    uncovered = set(tiling.uncovered)
     records.append(
         StepRecord(
             5,
@@ -390,14 +368,14 @@ def _attempt(
     # Step 8: connect all segments into one cycle through the reservoir.
     pieces = chains + fac.copies
     segments: list[list[int]] = [s1, s2_path] + [list(piece.vertices) for piece in pieces]
-    theta_r = max(1, math.ceil(cfg.tau * rho_n))
+    theta_r = max(1, math.ceil(TAU * rho_n))
     K_r = threshold_hypergraph(C, sorted(reserve), theta_r)
     interior_pool = set(r1_set)
     connector_edges: list[Edge] = []
     interiors: list[list[int]] = []
     for i, seg in enumerate(segments):
         nxt = segments[(i + 1) % len(segments)]
-        path = _con_bfs(K_r, seg[-1], nxt[0], interior_pool, cfg.c)
+        path = _con_bfs(K_r, seg[-1], nxt[0], interior_pool, CONNECTOR_MAX)
         if path is None:
             _fail(
                 8,

@@ -211,6 +211,16 @@ def test_partition_of_empty_collection_is_invalid_input():
         degree_preserving_partition(Collection(4, 2, ()), (2, 2), alpha=0.2, seed=0)
 
 
+def test_partition_rejects_other_uniformities_and_negative_sizes():
+    C3 = Collection(5, 3, (Hypergraph.from_edges(5, 3, [(0, 1, 2)]),))
+    with pytest.raises(InvalidInput, match="2-uniform"):
+        degree_preserving_partition(C3, (2, 3), alpha=0.2, seed=0)
+    C = Collection(4, 2, (complete_graph(4),))
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        degree_preserving_partition(C, (5, -1), alpha=0.2, seed=0)
+    assert degree_preserving_partition(C, (4, 0), alpha=0.2, seed=0, slack=math.inf) == [[0, 1, 2, 3], []]
+
+
 def test_partition_sizes_mismatch():
     C = generate(GenSpec(n=10, k=2, m=4, delta_fraction=0.6, family="random", seed=5))
     with pytest.raises(SizesMismatch):
@@ -298,3 +308,16 @@ def test_rainbow_tiling_empty_when_t_zero():
     C = generate(GenSpec(n=10, k=2, m=10, delta_fraction=0.6, family="random", seed=7))
     res = rainbow_tiling(C, single_edge_link(2, 1), T=0, omega=0.1, seed=7)
     assert res.chains == [] and res.uncovered == frozenset(range(10))
+
+
+def test_rainbow_tiling_leaves_a_part_uncovered_once_colours_run_out():
+    # the first two triangle chains use up all 24 colours, so the third part
+    # has none left for its threshold graph
+    n = 24
+    C = Collection(n, 2, tuple(complete_graph(n) for _ in range(n)))
+    res = rainbow_tiling(C, triangle_link(), T=3, omega=0.0, seed=0, slack=1.0)
+    used = [c for rc in res.chains for _, c in rc.colouring]
+    assert len(used) == len(set(used)) and res.unused_colours == frozenset(range(n)) - set(used)
+    covered = {v for rc in res.chains for v in rc.vertices}
+    assert len(res.chains) == 2 and not res.unused_colours and len(res.uncovered) >= n // 3
+    assert covered | res.uncovered == set(range(n)) and not covered & res.uncovered

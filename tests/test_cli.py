@@ -278,3 +278,10 @@ def test_scan_rejects_a_bad_budget_before_any_output(capsys):
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr()
         assert "budget limits must be positive" in err.err and err.out == ""
+
+
+def test_scan_rejects_a_reversed_delta_range(capsys):
+    argv = ["scan", "--n", "8", "--delta-from", "0.9", "--delta-to", "0.1", "--trials", "1"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr()
+    assert "--delta-from 0.9 exceeds --delta-to 0.1" in err.err and err.out == ""

@@ -17,7 +17,9 @@ no other output.
 `rainbow_tiling`, which embeds chain templates and then colours them, is
 pinned for `edge(2,1)`, `triangle` and `pillar`; the pipeline pins reach
 only `edge(2,1)`.  Its digest was recorded while tiling chains still had a
-type of their own, before they became `RainbowCopy` objects.
+type of their own, before they became `RainbowCopy` objects.  The omega = 0
+group, for `edge(2,1)` and `pillar`, was recorded while the tiling still
+dropped an empty slack part before partitioning and kept every part after.
 """
 
 import hashlib
@@ -102,7 +104,7 @@ def factor_outputs(links, sizes, densities):
     return out
 
 
-def tiling_outputs(links, sizes, densities, Ts):
+def tiling_outputs(links, sizes, densities, Ts, omega=0.1):
     """Chains (vertices and colouring), uncovered vertices and unused colours
     of `rainbow_tiling` on n-member collections, at the default partition
     slack and with the degree audit off (slack 1.0); a partition that no
@@ -121,7 +123,7 @@ def tiling_outputs(links, sizes, densities, Ts):
                     for slack in (None, 1.0):
                         kwargs = {} if slack is None else {"slack": slack}
                         try:
-                            res = rainbow_tiling(C, link, T, 0.1, seed=n + T, **kwargs)
+                            res = rainbow_tiling(C, link, T, omega, seed=n + T, **kwargs)
                         except PartitionFailed:
                             out.append([name, n, p, T, slack, "partition failed"])
                             continue
@@ -142,9 +144,11 @@ LINKS2 = [("edge(2,1)", single_edge_link(2, 1)), ("triangle", triangle_link()), 
 LINKS3 = [("edge(3,1)", single_edge_link(3, 1)), ("edge(3,2)", single_edge_link(3, 2))]
 BODIES = LINKS2 + [("clique(4)", clique_link(4))]
 
-# group: (outputs, SHA-256 of their JSON); 1,776, 1,232, 1,056, 432 and
-# 108 outputs, of which 343, 98 and 150 embedding budget-outs, 132 stuck
-# factors and 27 rejected tiling partitions (81 tilings, 153 chains)
+# group: (outputs, SHA-256 of their JSON); 1,776, 1,232, 1,056, 432, 108
+# and 72 outputs, of which 343, 98 and 150 embedding budget-outs, 132 stuck
+# factors and 27 + 2 rejected tiling partitions (81 + 70 tilings, 153 + 138
+# chains).  At omega = 0, 64 of the 72 tilings split a universe that T
+# divides, so their slack part is empty.
 GROUPS = {
     "embedding k=2 sparse": (
         lambda: embedding_outputs(LINKS2, range(6, 15), (0.25, 0.35), (2, 3, 4, 5, 6)),
@@ -165,6 +169,10 @@ GROUPS = {
     "rainbow tiling": (
         lambda: tiling_outputs(LINKS2, (16, 20, 24), (0.6, 0.8), (1, 2, 3)),
         "8539c22778e2468ce49f50fd0d8f1bc109471f6ceca7aff45da1708c9974489a",
+    ),
+    "rainbow tiling omega=0": (
+        lambda: tiling_outputs([LINKS2[0], LINKS2[2]], (12, 16, 24), (0.6, 0.8), (1, 2, 3), omega=0.0),
+        "2f15fd55f30e10c442206eeb2c28bb29b537c0cc020f05260fbdb4f20bcf0ab8",
     ),
 }
 

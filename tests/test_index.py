@@ -119,7 +119,7 @@ def test_partition_audit_k2_matches_brute_force(C, data):
         st.integers(-1, 5).map(lambda q: q / 4),
         st.floats(-0.5, 1.2, allow_nan=False),
     ))
-    assert _partition_audit(C, parts, 1, frac) == brute_partition_audit(C, parts, frac)
+    assert _partition_audit(C, parts, frac) == brute_partition_audit(C, parts, frac)
 
 
 def test_partition_audit_k2_exhaustive_small():
@@ -134,7 +134,7 @@ def test_partition_audit_k2_exhaustive_small():
             parts = [part for part in parts if part]
             for q in range(-1, 6):
                 frac = q / 4
-                assert _partition_audit(C, parts, 1, frac) == brute_partition_audit(C, parts, frac)
+                assert _partition_audit(C, parts, frac) == brute_partition_audit(C, parts, frac)
 
 
 @given(st.sets(st.integers(0, 200)))

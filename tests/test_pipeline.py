@@ -4,7 +4,6 @@ import functools
 import hashlib
 import json
 import random
-import warnings
 from itertools import combinations
 
 import pytest
@@ -16,7 +15,7 @@ from transversals.exact import find_embedding, find_transversal_cycle
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph
 from transversals.links import single_edge_link, triangle_link
-from transversals.pipeline import PipelineConfig, solve_transversal_hamilton
+from transversals.pipeline import PipelineConfig, _con_bfs, solve_transversal_hamilton
 
 LINK21 = single_edge_link(2, 1)
 
@@ -92,14 +91,6 @@ def test_pipeline_is_deterministic():
         assert a.certificate == b.certificate and a.attempts == b.attempts
 
 
-def test_config_hierarchy_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = PipelineConfig(gamma=0.5)  # gamma > beta breaks the ordering
-    assert not cfg.hierarchy_ok
-    assert any("gamma" in str(w.message) for w in caught)
-
-
 def sampled_dense(n, p, seed):
     """n members, each G(n, p) from a str-seeded stdlib rng (independent of
     the library's generators, so only the solver is pinned)."""
@@ -146,3 +137,43 @@ def test_step_2_reports_exhausted_path_budget(monkeypatch):
     run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=0, retries=2))
     assert run.outcome == "failure"
     assert (run.failure.step, run.failure.reason) == (2, "spanning-path search budget exhausted")
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_pipeline_solves_complete_members(n):
+    # step 2 (n = 20) and step 5 (n = 40) split off a one-vertex part, which
+    # no audit passes (a vertex has no neighbour in its own singleton), so
+    # they need the unaudited fallback
+    C = Collection(n, 2, tuple(complete_graph(n) for _ in range(n)))
+    run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=0, retries=3))
+    assert run.outcome == "success"
+    assert verify_certificate(C, run.certificate, LINK21)
+
+
+# 0-1-2-3-4 is a path; 5 is a neighbour of both 0 and 4
+CONNECTOR_HOST = Hypergraph.from_edges(6, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 4)])
+
+
+def test_connector_takes_the_direct_edge():
+    assert _con_bfs(CONNECTOR_HOST, 0, 1, set(), 4) == [0, 1]
+
+
+def test_connector_runs_through_the_pool():
+    assert _con_bfs(CONNECTOR_HOST, 0, 4, {5}, 4) == [0, 5, 4]
+    assert _con_bfs(CONNECTOR_HOST, 0, 3, {1, 2}, 4) == [0, 1, 2, 3]
+
+
+def test_connector_interior_stays_in_the_pool():
+    # the two-edge route through 5 is shorter, but 5 is not in the pool
+    assert _con_bfs(CONNECTOR_HOST, 0, 4, {1, 2, 3}, 4) == [0, 1, 2, 3, 4]
+
+
+def test_connector_length_is_capped():
+    assert _con_bfs(CONNECTOR_HOST, 0, 4, {1, 2, 3}, 3) is None
+    assert _con_bfs(CONNECTOR_HOST, 0, 3, {1, 2}, 3) == [0, 1, 2, 3]
+    assert _con_bfs(CONNECTOR_HOST, 0, 3, {1, 2}, 2) is None
+
+
+def test_connector_is_none_when_unreachable():
+    assert _con_bfs(CONNECTOR_HOST, 0, 4, set(), 4) is None
+    assert _con_bfs(CONNECTOR_HOST, 0, 3, {5}, 4) is None
