@@ -161,14 +161,6 @@ class ColourAbsorber:
     Cset: frozenset[int]
     ell: int
 
-    def host_edges(self) -> list[Edge]:
-        return sorted(
-            tuple(sorted(self.S[v] for v in e)) for e in self.template.edges
-        )
-
-    def host_copy(self, n: int) -> Hypergraph:
-        return Hypergraph(n, self.template.k, frozenset(self.host_edges()))
-
 
 def build_colour_absorber(
     C: Collection,

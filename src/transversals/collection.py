@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidInput
 from .hypergraph import Edge, Hypergraph, bits, mask_of, min_degree_d, transpose
+from .hypergraph import _from_json as _hypergraph_from_json
 from .links import Link, cycle_on
 from .matching import maximum_bipartite_matching
 
@@ -109,7 +110,8 @@ class Collection:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Collection":
-        members = tuple(Hypergraph.from_json(h) for h in obj["members"])
+        interned: dict[Edge, Edge] = {}  # one tuple per distinct edge across the members
+        members = tuple(_hypergraph_from_json(h, interned) for h in obj["members"])
         return cls(int(obj["n"]), int(obj["k"]), members)
 
 
@@ -134,17 +136,17 @@ class TransversalCertificate:
 
     def to_json(self) -> dict:
         return {
-            "edges": [list(e) for e, _ in self.phi],
+            "edges": [e for e, _ in self.phi],
             "phi": [c for _, c in self.phi],
         }
 
     @classmethod
     def from_json(cls, obj: dict, n: int, k: int) -> "TransversalCertificate":
-        edges = [tuple(int(v) for v in e) for e in obj["edges"]]
+        edges = [tuple(map(int, e)) for e in obj["edges"]]
         phi = [int(c) for c in obj["phi"]]
         if len(edges) != len(phi):
             raise InvalidInput("edges and phi must be parallel arrays")
-        target = Hypergraph.from_json({"n": n, "k": k, "edges": [list(e) for e in edges]})
+        target = Hypergraph.from_json({"n": n, "k": k, "edges": edges})
         return cls.from_mapping(target, dict(zip(edges, phi)))
 
 

@@ -9,6 +9,7 @@ edge-set equality of index patterns.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -81,39 +82,39 @@ class Hypergraph:
         return sorted(self.edges)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "edges": [list(e) for e in self.sorted_edges()]}
+        """The edges are this object's own tuples, which `json` writes as arrays."""
+        return {"n": self.n, "k": self.k, "edges": self.sorted_edges()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Hypergraph":
         """Strict parser: inner lists must already be strictly increasing."""
-        try:
-            n, k, edges = int(obj["n"]), int(obj["k"]), obj["edges"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidHypergraph(f"malformed hypergraph object: {exc}") from exc
-        tuples = []
-        for e in edges:
-            t = tuple(int(v) for v in e)
-            if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-                raise InvalidHypergraph(f"edge {t} is not strictly increasing")
-            tuples.append(t)
-        if len(set(tuples)) != len(tuples):
-            raise InvalidHypergraph("duplicate edges in input")
-        return cls(n, k, frozenset(tuples))
+        return _from_json(obj, {})
 
 
-def degree_d(H: Hypergraph, S: Iterable[int]) -> int:
-    """Number of edges of H containing the d-set S, 1 <= d < k."""
-    s = frozenset(S)
-    d = len(s)
-    if not 1 <= d < H.k:
-        raise InvalidInput(f"|S|={d} outside [1, {H.k - 1}]")
-    if any(v < 0 or v >= H.n for v in s):
-        raise InvalidInput(f"S={sorted(s)} not a subset of the vertex set")
-    return sum(1 for e in H.edges if s.issubset(e))
+def _from_json(obj: dict, interned: dict[Edge, Edge]) -> Hypergraph:
+    """`Hypergraph.from_json`, taking each edge tuple from `interned` (and
+    adding it there when new), so parsers that share the dict keep one
+    tuple per distinct edge."""
+    try:
+        n, k, raw = int(obj["n"]), int(obj["k"]), obj["edges"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidHypergraph(f"malformed hypergraph object: {exc}") from exc
+    tuples = []
+    for e in raw:
+        t = tuple(map(int, e))
+        # a pair, the common case, in one comparison
+        if t[0] >= t[1] if len(t) == 2 else any(map(operator.ge, t, t[1:])):
+            raise InvalidHypergraph(f"edge {t} is not strictly increasing")
+        tuples.append(interned.setdefault(t, t))
+    edges = frozenset(tuples)
+    if len(edges) != len(tuples):
+        raise InvalidHypergraph("duplicate edges in input")
+    return Hypergraph(n, k, edges)
 
 
 def min_degree_d(H: Hypergraph, d: int) -> int:
-    """delta_d(H): the minimum of degree_d over all d-subsets of the vertex set."""
+    """delta_d(H): the least number of edges containing a d-set, over all
+    d-subsets of the vertex set."""
     if not 1 <= d < H.k:
         raise InvalidInput(f"d={d} outside [1, {H.k - 1}]")
     if H.n < d:
@@ -154,15 +155,6 @@ def ordered_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
 
 def complete_graph(n: int) -> Hypergraph:
     return Hypergraph(n, 2, frozenset(itertools.combinations(range(n), 2)))
-
-
-def complete_uniform(n: int, k: int) -> Hypergraph:
-    return Hypergraph(n, k, frozenset(itertools.combinations(range(n), k)))
-
-
-def cycle_graph(n: int) -> Hypergraph:
-    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
-    return Hypergraph(n, 2, frozenset(edges))
 
 
 def neighbour_sets(H: Hypergraph) -> list[set[int]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
 from .hypergraph import Hypergraph, complete_graph, induced, ordered_isomorphic
@@ -152,42 +151,6 @@ def cycle_on(link: Link, n: int) -> Hypergraph:
         raise DivisibilityError(f"no A-cycle on n={n} for this link")
     t = n // step
     return close_cycle(build_chain_template(link, t), link, t)
-
-
-def is_chain(
-    candidate: Hypergraph, link: Link, mode: str = "exact"
-) -> tuple[bool, Optional[ChainLayout]]:
-    """Recognise candidate as an A-chain.
-
-    `mode="exact"`: every window must induce exactly the link pattern (minimal
-    chains).  `mode="contain"`: windows may carry extra host edges (embedding
-    mode); the edge-coverage condition is then skipped since host edges need
-    not belong to the chain.
-    """
-    if mode not in ("exact", "contain"):
-        raise InvalidInput(f"unknown mode {mode!r}")
-    if candidate.k != link.k:
-        return False, None
-    step = link.step
-    rem = candidate.n - link.ell
-    if rem <= 0 or rem % step != 0:
-        return False, None
-    t = rem // step
-    layout = chain_windows(link, t)
-    for window in layout.windows:
-        pattern = induced(candidate, window)
-        if mode == "exact":
-            if pattern.edges != link.body.edges:
-                return False, None
-        else:
-            if not pattern.edges.issuperset(link.body.edges):
-                return False, None
-    if mode == "exact":
-        for e in candidate.edges:
-            lo, hi = e[0], e[-1]
-            if not any(w[0] <= lo and hi <= w[-1] for w in layout.windows):
-                return False, None
-    return True, layout
 
 
 _EDGE_RE = re.compile(r"^edge\((\d+),\s*(\d+)\)$")

@@ -28,10 +28,11 @@ from transversals.errors import InfeasibleDegrees, InvalidInput, NoCopyFound, Si
 from transversals.exact import find_embedding
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph, mask_of
-from transversals.links import is_chain, single_edge_link, triangle_link
+from transversals.links import single_edge_link, triangle_link
 from transversals.rng import rng_for
 
 from test_matching import reference_augment
+from testlib import host_copy, is_chain
 
 
 def random_availability(m_a, n_b, min_deg, seed):
@@ -172,7 +173,7 @@ def test_colour_absorber_exhaustive_property():
     # template: 6-edge path
     path = Hypergraph.from_edges(7, 2, [(i, i + 1) for i in range(6)])
     ab = build_colour_absorber(C, path, gamma_n=2, alpha=0.2, seed=2)
-    host = ab.host_copy(C.n)
+    host = host_copy(ab, C.n)
     for B in itertools.combinations(sorted(ab.Cset), ab.ell):
         cert = rainbow_colouring(C, host, set(ab.A) | set(B))
         assert cert is not None
@@ -278,8 +279,10 @@ def test_greedy_rainbow_factor_reports_stuck_block():
 def test_rainbow_tiling_covers_most_vertices():
     link = single_edge_link(2, 1)
     C = generate(GenSpec(n=24, k=2, m=24, delta_fraction=0.75, family="random", seed=6))
-    # slack=1.0 skips the degree audit: the leftover part here has only two
-    # vertices, too small for any uniform degree share to survive
+    # slack=1.0 audits a part only when delta_min/n + alpha/2 > 1 (only an
+    # infinite slack audits nothing); here 0.75 + 0.1 <= 1, so no part is
+    # audited, and the leftover part of two vertices, too small for any
+    # uniform degree share to survive, cannot fail the partition
     res = rainbow_tiling(C, link, T=2, omega=0.1, seed=6, slack=1.0)
     covered = set()
     for rc in res.chains:

@@ -37,7 +37,6 @@ from transversals.gen import GenSpec, bridge_construction, dirac_extremal, gener
 from transversals.hypergraph import (
     Hypergraph,
     complete_graph,
-    cycle_graph,
     mask_of,
     min_degree_d,
 )
@@ -54,6 +53,8 @@ from transversals.links import (
 )
 from transversals.pipeline import PipelineConfig, solve_transversal_hamilton
 from transversals.rng import rng_for
+
+from testlib import cycle_graph, host_copy
 
 LINK21 = single_edge_link(2, 1)
 
@@ -196,7 +197,7 @@ def test_6_colour_absorbers_verified_exhaustively():
             )
             ab = build_colour_absorber(C, path6, gamma_n=2, alpha=0.2,
                                        seed=rng.getrandbits(32))
-            host = ab.host_copy(C.n)
+            host = host_copy(ab, C.n)
             for B in itertools.combinations(sorted(ab.Cset), 2):
                 cert = rainbow_colouring(C, host, set(ab.A) | set(B))
                 assert cert is not None, (B, ab)

@@ -17,10 +17,12 @@ from transversals.collection import (
 )
 from transversals.errors import InvalidInput
 from transversals.gen import GenSpec, generate
-from transversals.hypergraph import Hypergraph, complete_graph, cycle_graph, min_degree_d
+from transversals.hypergraph import Hypergraph, complete_graph, min_degree_d
 from transversals.errors import TooShort
 from transversals.links import builtin_link, cycle_on, single_edge_link, triangle_link
 from transversals.rng import rng_for
+
+from testlib import cycle_graph
 
 
 def make_cycle_cert(n):

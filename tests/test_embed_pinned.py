@@ -107,8 +107,9 @@ def factor_outputs(links, sizes, densities):
 def tiling_outputs(links, sizes, densities, Ts, omega=0.1):
     """Chains (vertices and colouring), uncovered vertices and unused colours
     of `rainbow_tiling` on n-member collections, at the default partition
-    slack and with the degree audit off (slack 1.0); a partition that no
-    retry accepts is recorded as such."""
+    slack and at slack 1.0, which still audits every part whenever
+    delta_min/n + alpha/2 > 1 (only an infinite slack audits nothing); a
+    partition that no retry accepts is recorded as such."""
     out = []
     for name, link in links:
         for n in sizes:

@@ -29,10 +29,12 @@ from transversals.exact import (
     find_transversal_subgraph,
 )
 from transversals.gen import GenSpec, dirac_extremal, generate
-from transversals.hypergraph import Hypergraph, complete_graph, cycle_graph
+from transversals.hypergraph import Hypergraph, complete_graph
 from transversals.links import cycle_counts, cycle_on, pillar_link, single_edge_link, triangle_link
 from transversals.matching import IncrementalMatching, maximum_bipartite_matching
 from transversals.rng import rng_for
+
+from testlib import cycle_graph
 
 LINK21 = single_edge_link(2, 1)
 
@@ -135,7 +137,7 @@ def test_triangle_link_on_complete_members():
 
 def test_tight_3_uniform_cycle_search():
     n = 6
-    from transversals.hypergraph import complete_uniform
+    from testlib import complete_uniform
 
     link = single_edge_link(3, 2)
     C = Collection(n, 3, tuple(complete_uniform(n, 3) for _ in range(n)))

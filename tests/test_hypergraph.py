@@ -11,14 +11,13 @@ from transversals.hypergraph import (
     Hypergraph,
     all_d_sets,
     complete_graph,
-    complete_uniform,
-    cycle_graph,
-    degree_d,
     induced,
     min_degree_d,
     neighbour_sets,
     ordered_isomorphic,
 )
+
+from testlib import complete_uniform, cycle_graph, degree_d
 
 
 def test_edges_are_canonicalised():

@@ -16,13 +16,13 @@ from transversals.hypergraph import (
     Hypergraph,
     bits,
     complete_graph,
-    complete_uniform,
-    cycle_graph,
     mask_of,
     min_degree_d,
     neighbour_sets,
     transpose,
 )
+
+from testlib import complete_uniform, cycle_graph
 
 
 @st.composite

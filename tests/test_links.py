@@ -16,12 +16,13 @@ from transversals.links import (
     close_cycle,
     cycle_counts,
     cycle_on,
-    is_chain,
     make_link,
     pillar_link,
     single_edge_link,
     triangle_link,
 )
+
+from testlib import is_chain
 
 
 def test_single_edge_link_basics():
