@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -220,6 +221,26 @@ def test_partition_rejects_other_uniformities_and_negative_sizes():
     with pytest.raises(InvalidInput, match="nonnegative"):
         degree_preserving_partition(C, (5, -1), alpha=0.2, seed=0)
     assert degree_preserving_partition(C, (4, 0), alpha=0.2, seed=0, slack=math.inf) == [[0, 1, 2, 3], []]
+
+
+# (sizes, seed, within) -> SHA-256 of the parts' JSON; recorded while a
+# sampled partition still had to pass a degree audit, from the unaudited
+# first sample (infinite slack), which is the split every solve used
+SPLIT_PINS = [
+    ((15, 10), 3, None, "5b34ee92b06906ee9945a0442ac16b2a71e54686200359fc963d842da758b7c6"),
+    ((5, 6, 13, 1), 11, None, "7eb792dcdbffb1a0072a6a2ce3724f8a40575fdea641161392c8a8a529fdf3e4"),
+    ((4, 4, 4, 4, 4, 5), 2**62 + 5, None, "ad3279af74b9795a69b2b47c05a2713298d12582cc8c0a2a25a335634ff216ae"),
+    ((6, 0, 6), 4, range(2, 14), "27ea213ca21a8bb4ac4922db0a7a28f8ab81c65cb3ac3ce2311db06f4da8d0c7"),
+    ((0, 5, 3), 0, range(1, 25, 3), "20941ee9116224af85f89c795761583d168d5fd001f56aba7cece16366e808d0"),
+]
+
+
+@pytest.mark.parametrize("sizes, seed, within, digest", SPLIT_PINS)
+def test_partition_split_pinned(sizes, seed, within, digest):
+    C = generate(GenSpec(n=25, k=2, m=6, delta_fraction=0.7, family="random", seed=3))
+    parts = degree_preserving_partition(C, sizes, alpha=0.2, seed=seed, slack=math.inf, within=within)
+    assert [len(p) for p in parts] == list(sizes)
+    assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == digest
 
 
 def test_partition_sizes_mismatch():
