@@ -1,9 +1,10 @@
 """Absorption toolbox.
 
-Every construction here is randomised-build-then-verify: an object is only
-returned after its defining property has been checked, exhaustively when the
-case count is small and by sampling otherwise.  Asymptotic guarantees are
-replaced by audits plus retries, so a returned object is always usable.
+Absorbers are randomised-build-then-verify: one is returned only after its
+defining property has been checked, exhaustively when the case count is
+small and by sampling otherwise.  The random vertex split is not audited:
+the degree shares the paper draws from concentration do not hold at the
+part sizes used here, so the steps that use the parts check what they need.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .collection import Collection, collection_min_degree, rainbow_colouring, threshold_hypergraph
+from .collection import Collection, rainbow_colouring, threshold_hypergraph
 from .errors import (
     InfeasibleDegrees,
     InvalidInput,
     NoCopyFound,
     AbsorberFailed,
-    PartitionFailed,
     SearchExhausted,
     SizesMismatch,
 )
@@ -33,7 +33,6 @@ from .rng import rng_for
 EXHAUSTIVE_CUTOFF = 10**5
 SAMPLE_COUNT = 10**3
 DEFAULT_RETRIES = 50
-DEFAULT_PARTITION_SLACK = 0.4
 
 
 @dataclass(frozen=True)
@@ -197,51 +196,28 @@ def build_colour_absorber(
 def degree_preserving_partition(
     C: Collection,
     sizes: Sequence[int],
-    alpha: float,
     seed: int,
-    retries: int = DEFAULT_RETRIES,
-    slack: float = DEFAULT_PARTITION_SLACK,
     within: Optional[Sequence[int]] = None,
-) -> Optional[list[list[int]]]:
-    """Uniform random partition of a 2-uniform collection's vertices into
-    the given part sizes, accepted only if every vertex keeps, in every
-    member and into every part, at least a proportional share of its degree.
-    None after retries; an infinite slack accepts the first sample.
+) -> list[list[int]]:
+    """Seeded uniform split of the vertices into parts of the given sizes,
+    each sorted.  Not audited: the degree share the paper's random partition
+    keeps into each part holds only at large n, so later steps check their
+    own postconditions.
 
-    `within` restricts the universe being partitioned (default: all of V)."""
-    if C.k != 2:
-        raise InvalidInput("the degree-preserving partition is 2-uniform only")
-    n = C.n
-    universe = sorted(range(n) if within is None else set(within))
+    `within` restricts the universe being split (default: all of V)."""
+    universe = sorted(range(C.n) if within is None else set(within))
     if sum(sizes) != len(universe):
         raise SizesMismatch(f"sizes sum to {sum(sizes)}, need {len(universe)}")
     if any(s < 0 for s in sizes):
         raise InvalidInput("part sizes must be nonnegative")
-    frac = collection_min_degree(C, 1) / n + alpha / 2 - slack
-    for attempt in range(retries):
-        rng = rng_for(seed, "partition", attempt)
-        perm = list(universe)
-        rng.shuffle(perm)
-        parts: list[list[int]] = []
-        at = 0
-        for s in sizes:
-            parts.append(sorted(perm[at : at + s]))
-            at += s
-        if _partition_audit(C, parts, frac):
-            return parts
-    return None
-
-
-def _partition_audit(C: Collection, parts, frac: float) -> bool:
-    """Whether every vertex has, in every member, at least frac * |part|
-    neighbours in every part (2-uniform)."""
-    audited = [(mask_of(part), frac * len(part)) for part in parts if frac * len(part) > 0]
-    for H in C.members:
-        adj = H.adjacency
-        for part_mask, need in audited:
-            if any((nbrs & part_mask).bit_count() < need for nbrs in adj):
-                return False
-    return True
+    perm = list(universe)
+    rng_for(seed, "partition", 0).shuffle(perm)
+    parts: list[list[int]] = []
+    at = 0
+    for s in sizes:
+        parts.append(sorted(perm[at : at + s]))
+        at += s
+    return parts
 
 
 @dataclass(frozen=True)
@@ -326,20 +302,18 @@ def rainbow_tiling(
     T: int,
     omega: float,
     seed: int,
-    alpha: float = 0.2,
     eta: float = 0.05,
-    retries: int = DEFAULT_RETRIES,
     within: Optional[Sequence[int]] = None,
     pool: Optional[Sequence[int]] = None,
-    slack: float = DEFAULT_PARTITION_SLACK,
 ) -> TilingResult:
     """Vertex-disjoint rainbow chains covering most of the vertex universe.
 
-    The universe (all of V, or `within`) is split into T equal parts plus a
-    slack part of about omega*|universe|/2 vertices that is deliberately left
-    uncovered; each part gets a near-spanning chain found in its threshold
-    hypergraph and coloured by an exact matching against still-unused pool
-    colours of multiplicity >= eta*m."""
+    The universe (all of V, or `within`) is split at random, with no degree
+    audit, into T equal parts plus a leftover part of about
+    omega*|universe|/2 vertices that is deliberately left uncovered; each
+    part gets a near-spanning chain found in its threshold hypergraph (edges
+    in at least eta*|pool| still-unused pool colours) and coloured by an
+    exact matching against those colours."""
     n = C.n
     universe = sorted(range(n) if within is None else set(within))
     pool_cols = set(range(C.m) if pool is None else pool)
@@ -352,16 +326,8 @@ def rainbow_tiling(
         raise InvalidInput("parts too small to hold a single link body")
     sizes = [part_size] * T + [len(universe) - T * part_size]
     parts = degree_preserving_partition(
-        C,
-        sizes,
-        alpha,
-        rng_for(seed, "tiling-partition").getrandbits(63),
-        retries,
-        slack=slack,
-        within=universe,
+        C, sizes, rng_for(seed, "tiling-partition").getrandbits(63), within=universe
     )
-    if parts is None:
-        raise PartitionFailed("no acceptable tiling partition within retries")
     unused = set(pool_cols)
     theta = max(1, math.ceil(eta * len(pool_cols)))
     chains: list[RainbowCopy] = []

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidInput
 from .hypergraph import Edge, Hypergraph, bits, mask_of, min_degree_d, transpose
-from .hypergraph import _from_json as _hypergraph_from_json
+from .hypergraph import _all_ints, _from_json as _hypergraph_from_json
 from .links import Link, cycle_on
 from .matching import maximum_bipartite_matching
 
@@ -112,7 +112,10 @@ class Collection:
     def from_json(cls, obj: dict) -> "Collection":
         interned: dict[Edge, Edge] = {}  # one tuple per distinct edge across the members
         members = tuple(_hypergraph_from_json(h, interned) for h in obj["members"])
-        return cls(int(obj["n"]), int(obj["k"]), members)
+        n, k = obj["n"], obj["k"]
+        if not _all_ints((n, k)):
+            raise InvalidInput(f"n and k must be integers, got {n!r} and {k!r}")
+        return cls(n, k, members)
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,13 @@ class TransversalCertificate:
 
     @classmethod
     def from_json(cls, obj: dict, n: int, k: int) -> "TransversalCertificate":
+        # int() first, so that a value that is no number fails as it always has
         edges = [tuple(map(int, e)) for e in obj["edges"]]
         phi = [int(c) for c in obj["phi"]]
         if len(edges) != len(phi):
             raise InvalidInput("edges and phi must be parallel arrays")
+        if not (_all_ints(itertools.chain.from_iterable(obj["edges"])) and _all_ints(obj["phi"])):
+            raise InvalidInput("every vertex and colour must be an integer")
         target = Hypergraph.from_json({"n": n, "k": k, "edges": edges})
         return cls.from_mapping(target, dict(zip(edges, phi)))
 

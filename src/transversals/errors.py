@@ -49,9 +49,5 @@ class SizesMismatch(TransversalsError):
     """Requested partition sizes do not sum to the vertex count."""
 
 
-class PartitionFailed(TransversalsError):
-    """No sampled partition passed the degree audit within the retry budget."""
-
-
 class Unachievable(TransversalsError):
     """Requested degree floor exceeds what the parameters allow."""

@@ -91,6 +91,12 @@ class Hypergraph:
         return _from_json(obj, {})
 
 
+def _all_ints(values: Iterable) -> bool:
+    """Whether every value is a JSON integer: an int, never a bool, a float
+    or a string.  One pass in C, so a whole file's vertices cost little."""
+    return set(map(type, values)) <= {int}
+
+
 def _from_json(obj: dict, interned: dict[Edge, Edge]) -> Hypergraph:
     """`Hypergraph.from_json`, taking each edge tuple from `interned` (and
     adding it there when new), so parsers that share the dict keep one
@@ -99,13 +105,20 @@ def _from_json(obj: dict, interned: dict[Edge, Edge]) -> Hypergraph:
         n, k, raw = int(obj["n"]), int(obj["k"]), obj["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidHypergraph(f"malformed hypergraph object: {exc}") from exc
+    if not _all_ints((obj["n"], obj["k"])):
+        raise InvalidHypergraph(f"n and k must be integers, got {obj['n']!r} and {obj['k']!r}")
+    # when some vertex is no int, the edges still go through int() in order,
+    # so a non-numeric vertex or a bad edge ahead of it is reported first
+    all_ints = _all_ints(itertools.chain.from_iterable(raw))
     tuples = []
     for e in raw:
-        t = tuple(map(int, e))
+        t = tuple(e) if all_ints else tuple(map(int, e))
         # a pair, the common case, in one comparison
         if t[0] >= t[1] if len(t) == 2 else any(map(operator.ge, t, t[1:])):
             raise InvalidHypergraph(f"edge {t} is not strictly increasing")
         tuples.append(interned.setdefault(t, t))
+    if not all_ints:
+        raise InvalidHypergraph("every vertex must be an integer")
     edges = frozenset(tuples)
     if len(edges) != len(tuples):
         raise InvalidHypergraph("duplicate edges in input")

@@ -96,15 +96,6 @@ def chain_windows(link: Link, t: int) -> ChainLayout:
     return ChainLayout(link, t, windows)
 
 
-def chain_counts(link: Link, t: int) -> tuple[int, int]:
-    """(vertex count, edge count) of the minimal A-chain of length t."""
-    if t < 1:
-        raise InvalidInput("t must be >= 1")
-    v = link.step * t + link.ell
-    e = t * (link.edges_per_link - link.edges_in_overlap) + link.edges_in_overlap
-    return v, e
-
-
 def cycle_counts(link: Link, n: int) -> int:
     """Edge count of the A-cycle on n vertices.  Raises as `cycle_on` does
     where no such cycle exists (n not a multiple of the step, below the link

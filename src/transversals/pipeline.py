@@ -5,10 +5,11 @@ The solve is a ten-step construction: set aside a small colour-flexible path
 most of the remaining vertices with rainbow chains, mop up leftover colours
 with single edges, connect every piece into one cycle through a reservoir,
 splice leftover vertices into the vertex absorber, and finally colour the
-reserved edges by exact matching.  Every intermediate object is audited, and
-the whole attempt is retried with fresh randomness on any failure, so a
-returned certificate is always verified while a failure is only a heuristic
-miss, never a refutation.
+reserved edges by exact matching.  Each step checks the postconditions the
+later steps rely on (the random vertex splits are not audited), the whole
+attempt is retried with fresh randomness on any failure, and the final
+certificate is verified, so a returned certificate is always valid while a
+failure is only a heuristic miss, never a refutation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
     ColourCountMismatch,
     InvalidInput,
     NoCopyFound,
-    PartitionFailed,
     SearchExhausted,
 )
 from .exact import find_embedding
@@ -59,7 +59,6 @@ NU = 0.05  # connector reservoir
 OMEGA = 0.02  # twice the share of the tiling region left uncovered
 T = 2  # tiling parts
 CONNECTOR_MAX = 4  # edges of one connector through the reservoir
-PARTITION_SLACK = 0.4  # degree share the audited partitions may lose
 
 
 @dataclass
@@ -233,25 +232,9 @@ def _attempt(
     r2 = min(max(2, 2 * T + 2), max(0, v_rest - 2))
     vp_size = v_rest - r2
     sizes = [s2_size, nu_n, r2, vp_size]
-    # Small parts cannot meet a uniform degree fraction, so fall back to an
-    # unaudited sample (infinite slack) when the audited one fails; later
-    # steps verify their own postconditions regardless.
-    parts = None
-    for slack in (PARTITION_SLACK, math.inf):
-        parts = degree_preserving_partition(
-            C,
-            sizes,
-            ALPHA,
-            split(seed, "partition"),
-            retries=5,
-            slack=slack,
-            within=remaining,
-        )
-        if parts is not None:
-            break
-    if parts is None:
-        _fail(2, "partition", "no degree-preserving partition within retries", sizes=sizes)
-    s2_block, r1_set, r2_set, vp = parts
+    s2_block, r1_set, r2_set, vp = degree_preserving_partition(
+        C, sizes, split(seed, "partition"), within=remaining
+    )
     theta_ab = max(2, math.ceil(TAU * len(cset)))
     K_ab = threshold_hypergraph(C, sorted(cset), theta_ab)
     try:
@@ -314,27 +297,9 @@ def _attempt(
 
     # Step 5: rainbow chain tiling of the main region from the main pool.
     t_eff = min(T, int((1 - OMEGA / 2) * n0) // link.m)
-    tiling = None
-    for slack in (PARTITION_SLACK, math.inf):
-        try:
-            tiling = rainbow_tiling(
-                C,
-                link,
-                t_eff,
-                OMEGA,
-                split(seed, "tiling"),
-                alpha=ALPHA,
-                eta=ETA,
-                retries=5,
-                within=vp,
-                pool=pool_main,
-                slack=slack,
-            )
-            break
-        except PartitionFailed:
-            continue
-    if tiling is None:
-        _fail(5, "tiling", "no acceptable tiling partition", T=t_eff)
+    tiling = rainbow_tiling(
+        C, link, t_eff, OMEGA, split(seed, "tiling"), eta=ETA, within=vp, pool=pool_main
+    )
     chains = tiling.chains
     c0 = sorted(tiling.unused_colours)
     uncovered = set(tiling.uncovered)

@@ -1,4 +1,4 @@
-"""Absorbers, degree-preserving partitions, rainbow factors and tilings."""
+"""Absorbers, the seeded vertex split, rainbow factors and tilings."""
 
 import functools
 import hashlib
@@ -192,7 +192,7 @@ def test_colour_absorber_reports_exhausted_embedding_budget(monkeypatch):
 
 def test_partition_respects_sizes_and_universe():
     C = generate(GenSpec(n=20, k=2, m=6, delta_fraction=0.7, family="random", seed=3))
-    parts = degree_preserving_partition(C, (12, 8), alpha=0.2, seed=3)
+    parts = degree_preserving_partition(C, (12, 8), seed=3)
     assert parts is not None
     assert sorted(len(p) for p in parts) == [8, 12]
     assert sorted(v for p in parts for v in p) == list(range(20))
@@ -201,26 +201,16 @@ def test_partition_respects_sizes_and_universe():
 def test_partition_within_subset():
     C = generate(GenSpec(n=16, k=2, m=5, delta_fraction=0.7, family="random", seed=4))
     universe = list(range(2, 14))
-    parts = degree_preserving_partition(
-        C, (6, 6), alpha=0.2, seed=4, within=universe
-    )
+    parts = degree_preserving_partition(C, (6, 6), seed=4, within=universe)
     assert parts is not None
     assert sorted(v for p in parts for v in p) == universe
 
 
-def test_partition_of_empty_collection_is_invalid_input():
-    with pytest.raises(InvalidInput, match="empty collection"):
-        degree_preserving_partition(Collection(4, 2, ()), (2, 2), alpha=0.2, seed=0)
-
-
-def test_partition_rejects_other_uniformities_and_negative_sizes():
-    C3 = Collection(5, 3, (Hypergraph.from_edges(5, 3, [(0, 1, 2)]),))
-    with pytest.raises(InvalidInput, match="2-uniform"):
-        degree_preserving_partition(C3, (2, 3), alpha=0.2, seed=0)
+def test_partition_rejects_negative_sizes():
     C = Collection(4, 2, (complete_graph(4),))
     with pytest.raises(InvalidInput, match="nonnegative"):
-        degree_preserving_partition(C, (5, -1), alpha=0.2, seed=0)
-    assert degree_preserving_partition(C, (4, 0), alpha=0.2, seed=0, slack=math.inf) == [[0, 1, 2, 3], []]
+        degree_preserving_partition(C, (5, -1), seed=0)
+    assert degree_preserving_partition(C, (4, 0), seed=0) == [[0, 1, 2, 3], []]
 
 
 # (sizes, seed, within) -> SHA-256 of the parts' JSON; recorded while a
@@ -238,7 +228,7 @@ SPLIT_PINS = [
 @pytest.mark.parametrize("sizes, seed, within, digest", SPLIT_PINS)
 def test_partition_split_pinned(sizes, seed, within, digest):
     C = generate(GenSpec(n=25, k=2, m=6, delta_fraction=0.7, family="random", seed=3))
-    parts = degree_preserving_partition(C, sizes, alpha=0.2, seed=seed, slack=math.inf, within=within)
+    parts = degree_preserving_partition(C, sizes, seed=seed, within=within)
     assert [len(p) for p in parts] == list(sizes)
     assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == digest
 
@@ -246,24 +236,7 @@ def test_partition_split_pinned(sizes, seed, within, digest):
 def test_partition_sizes_mismatch():
     C = generate(GenSpec(n=10, k=2, m=4, delta_fraction=0.6, family="random", seed=5))
     with pytest.raises(SizesMismatch):
-        degree_preserving_partition(C, (4, 4), alpha=0.2, seed=5)
-
-
-@pytest.mark.slow
-def test_partition_acceptance_rate_at_scale():
-    # empirical check on the standard setting: 40 vertices, 10 dense
-    # members, an even split; acceptance within 5 retries nearly always
-    accepted = 0
-    trials = 100
-    for seed in range(trials):
-        C = generate(
-            GenSpec(n=40, k=2, m=10, delta_fraction=0.7, family="random", seed=seed)
-        )
-        parts = degree_preserving_partition(
-            C, (20, 20), alpha=0.2, seed=seed, retries=5
-        )
-        accepted += parts is not None
-    assert accepted >= 95
+        degree_preserving_partition(C, (4, 4), seed=5)
 
 
 def test_greedy_rainbow_factor_on_complete_members():
@@ -300,11 +273,7 @@ def test_greedy_rainbow_factor_reports_stuck_block():
 def test_rainbow_tiling_covers_most_vertices():
     link = single_edge_link(2, 1)
     C = generate(GenSpec(n=24, k=2, m=24, delta_fraction=0.75, family="random", seed=6))
-    # slack=1.0 audits a part only when delta_min/n + alpha/2 > 1 (only an
-    # infinite slack audits nothing); here 0.75 + 0.1 <= 1, so no part is
-    # audited, and the leftover part of two vertices, too small for any
-    # uniform degree share to survive, cannot fail the partition
-    res = rainbow_tiling(C, link, T=2, omega=0.1, seed=6, slack=1.0)
+    res = rainbow_tiling(C, link, T=2, omega=0.1, seed=6)
     covered = set()
     for rc in res.chains:
         ok, _ = is_chain_copy(rc, link)
@@ -339,7 +308,7 @@ def test_rainbow_tiling_leaves_a_part_uncovered_once_colours_run_out():
     # has none left for its threshold graph
     n = 24
     C = Collection(n, 2, tuple(complete_graph(n) for _ in range(n)))
-    res = rainbow_tiling(C, triangle_link(), T=3, omega=0.0, seed=0, slack=1.0)
+    res = rainbow_tiling(C, triangle_link(), T=3, omega=0.0, seed=0)
     used = [c for rc in res.chains for _, c in rc.colouring]
     assert len(used) == len(set(used)) and res.unused_colours == frozenset(range(n)) - set(used)
     covered = {v for rc in res.chains for v in rc.vertices}

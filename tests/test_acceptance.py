@@ -42,7 +42,6 @@ from transversals.hypergraph import (
 )
 from transversals.links import (
     build_chain_template,
-    chain_counts,
     clique_link,
     close_cycle,
     cycle_counts,
@@ -54,7 +53,7 @@ from transversals.links import (
 from transversals.pipeline import PipelineConfig, solve_transversal_hamilton
 from transversals.rng import rng_for
 
-from testlib import cycle_graph, host_copy
+from testlib import chain_counts, cycle_graph, host_copy
 
 LINK21 = single_edge_link(2, 1)
 

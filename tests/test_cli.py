@@ -99,6 +99,20 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["reason"] == "DuplicateColour"
 
 
+def test_verify_rejects_fractional_colours(tmp_path, capsys):
+    # int() would read colour c + 0.9 as c and verify the certificate
+    inst = run_gen(tmp_path, "inst.json", "--family", "random", "--n", "8",
+                   "--delta", "0.7", "--seed", "4")
+    cert = tmp_path / "cert.json"
+    assert main(["solve", "--in", str(inst), "--out-cert", str(cert)]) == EXIT_SUCCESS
+    capsys.readouterr()
+    obj = json.loads(cert.read_text())
+    obj["phi"] = [c + 0.9 for c in obj["phi"]]
+    cert.write_text(json.dumps(obj))
+    assert main(["verify", "--in", str(inst), "--cert", str(cert)]) == EXIT_USAGE
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_3(tmp_path, capsys):
     assert main(["solve"]) == EXIT_USAGE  # missing --in
     capsys.readouterr()

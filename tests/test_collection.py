@@ -15,7 +15,7 @@ from transversals.collection import (
     threshold_hypergraph,
     verify_certificate,
 )
-from transversals.errors import InvalidInput
+from transversals.errors import InvalidHypergraph, InvalidInput
 from transversals.gen import GenSpec, generate
 from transversals.hypergraph import Hypergraph, complete_graph, min_degree_d
 from transversals.errors import TooShort
@@ -248,6 +248,33 @@ def test_certificate_json_round_trip():
     _, cert = make_cycle_cert(n)
     back = TransversalCertificate.from_json(cert.to_json(), n, 2)
     assert back == cert
+
+
+# values int() turns into 1 that are no JSON integer
+NOT_INTS = {"float": 1.0, "fraction": 1.9, "string": "1", "bool": True}
+
+
+@pytest.mark.parametrize("bad", list(NOT_INTS.values()), ids=list(NOT_INTS))
+def test_parsers_accept_only_json_integers(bad):
+    H = {"n": 4, "k": 2, "edges": [[0, 1], [1, 3]]}
+    C = {"n": 4, "k": 2, "members": [H, H]}
+    cert = {"edges": [[0, 1], [1, 3]], "phi": [0, 1]}
+    assert Hypergraph.from_json(H).num_edges == 2
+    assert Collection.from_json(C).m == 2
+    assert TransversalCertificate.from_json(cert, 4, 2).colours() == [0, 1]
+    for key in ("n", "k"):
+        with pytest.raises(InvalidHypergraph, match="n and k must be integers"):
+            Hypergraph.from_json({**H, key: bad})
+        with pytest.raises(InvalidInput, match="n and k must be integers"):
+            Collection.from_json({**C, key: bad})
+    with pytest.raises(InvalidHypergraph, match="every vertex must be an integer"):
+        Hypergraph.from_json({**H, "edges": [[0, bad], [1, 3]]})
+    with pytest.raises(InvalidHypergraph, match="every vertex must be an integer"):
+        Collection.from_json({**C, "members": [H, {**H, "edges": [[0, 3], [bad, 3]]}]})
+    with pytest.raises(InvalidInput, match="every vertex and colour must be an integer"):
+        TransversalCertificate.from_json({**cert, "edges": [[0, bad], [1, 3]]}, 4, 2)
+    with pytest.raises(InvalidInput, match="every vertex and colour must be an integer"):
+        TransversalCertificate.from_json({**cert, "phi": [0, bad]}, 4, 2)
 
 
 def test_threshold_hypergraph_counts():

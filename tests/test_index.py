@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transversals.absorb import _partition_audit
 from transversals.collection import Collection, threshold_hypergraph
 from transversals.errors import InvalidInput
 from transversals.gen import dirac_extremal
 from transversals.hypergraph import (
     Hypergraph,
     bits,
-    complete_graph,
     mask_of,
     min_degree_d,
     neighbour_sets,
@@ -92,49 +90,6 @@ def test_colours_of_and_union_match_brute_force(C):
         expected = sum(1 << i for i, H in enumerate(C.members) if e in H.edges)
         assert C.colour_masks.get(e, 0) == expected
     assert set(C.colour_masks) == frozenset().union(*(H.edges for H in C.members))
-
-
-def brute_partition_audit(C, parts, frac):
-    for H in C.members:
-        for part in parts:
-            need = frac * len(part)
-            if need <= 0:
-                continue
-            for v in range(C.n):
-                into = sum(1 for u in part if tuple(sorted((u, v))) in H.edges)
-                if into < need:
-                    return False
-    return True
-
-
-@settings(max_examples=80, deadline=None)
-@given(collections(2), st.data())
-def test_partition_audit_k2_matches_brute_force(C, data):
-    perm = data.draw(st.permutations(range(C.n)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, C.n), max_size=3)))
-    bounds = [0] + cuts + [C.n]
-    parts = [sorted(perm[a:b]) for a, b in zip(bounds, bounds[1:])]
-    # quarters make frac * len(part) land exactly on integer degrees
-    frac = data.draw(st.one_of(
-        st.integers(-1, 5).map(lambda q: q / 4),
-        st.floats(-0.5, 1.2, allow_nan=False),
-    ))
-    assert _partition_audit(C, parts, frac) == brute_partition_audit(C, parts, frac)
-
-
-def test_partition_audit_k2_exhaustive_small():
-    # every split of 6 vertices into two or three parts, at fractions whose
-    # needs land on and between integer degrees
-    n = 6
-    path = Hypergraph(n, 2, frozenset((i, i + 1) for i in range(n - 1)))
-    for members in ((complete_graph(n),), (cycle_graph(n), path), (cycle_graph(n), complete_graph(n))):
-        C = Collection(n, 2, members)
-        for labels in product(range(3), repeat=n):
-            parts = [[v for v in range(n) if labels[v] == j] for j in range(3)]
-            parts = [part for part in parts if part]
-            for q in range(-1, 6):
-                frac = q / 4
-                assert _partition_audit(C, parts, frac) == brute_partition_audit(C, parts, frac)
 
 
 @given(st.sets(st.integers(0, 200)))

@@ -10,7 +10,6 @@ from transversals.links import (
     Link,
     build_chain_template,
     builtin_link,
-    chain_counts,
     chain_windows,
     clique_link,
     close_cycle,
@@ -22,7 +21,7 @@ from transversals.links import (
     triangle_link,
 )
 
-from testlib import is_chain
+from testlib import chain_counts, is_chain
 
 
 def test_single_edge_link_basics():

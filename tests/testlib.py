@@ -11,6 +11,15 @@ from transversals.hypergraph import Hypergraph, induced
 from transversals.links import ChainLayout, Link, chain_windows
 
 
+def chain_counts(link: Link, t: int) -> tuple[int, int]:
+    """(vertex count, edge count) of the minimal A-chain of length t."""
+    if t < 1:
+        raise InvalidInput("t must be >= 1")
+    v = link.step * t + link.ell
+    e = t * (link.edges_per_link - link.edges_in_overlap) + link.edges_in_overlap
+    return v, e
+
+
 def complete_uniform(n: int, k: int) -> Hypergraph:
     return Hypergraph(n, k, frozenset(itertools.combinations(range(n), k)))
 
