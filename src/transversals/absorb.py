@@ -308,12 +308,11 @@ def rainbow_tiling(
 ) -> TilingResult:
     """Vertex-disjoint rainbow chains covering most of the vertex universe.
 
-    The universe (all of V, or `within`) is split at random, with no degree
-    audit, into T equal parts plus a leftover part of about
-    omega*|universe|/2 vertices that is deliberately left uncovered; each
-    part gets a near-spanning chain found in its threshold hypergraph (edges
-    in at least eta*|pool| still-unused pool colours) and coloured by an
-    exact matching against those colours."""
+    The universe (all of V, or `within`) is split at random into T equal
+    parts plus a leftover part of about omega*|universe|/2 vertices that is
+    deliberately left uncovered; each part gets a near-spanning chain found
+    in its threshold hypergraph (edges in at least eta*|pool| still-unused
+    pool colours) and coloured by an exact matching against those colours."""
     n = C.n
     universe = sorted(range(n) if within is None else set(within))
     pool_cols = set(range(C.m) if pool is None else pool)
