@@ -81,10 +81,13 @@ def absorber_holds(
     a perfect matching.  Exhaustive when the subset count is small, sampled
     otherwise (rng required then).  Returns (ok, failing U or None).
 
-    The left side is matched into B0 once; each U then only augments the
-    left items that base matching left free, from a copy of it.  A left item
-    with no augmenting path never gains one as others are matched (Kuhn), so
-    this decides each U exactly as a fresh matching would."""
+    The left side is matched into B0 once.  Each U first matches the left
+    items that base matching left free straight into its rights outside B0,
+    from an empty matching: if all of them match, they sit beside the base
+    matching and U passes.  Otherwise the free items are augmented from a
+    copy of the base matching into B0 and U.  A left item with no augmenting
+    path never gains one as others are matched (Kuhn), so this decides each
+    U exactly as a fresh matching would."""
     b1 = list(absorber.B1)
     ell = absorber.ell
     b0 = mask_of(absorber.B0)
@@ -97,8 +100,10 @@ def absorber_holds(
         if rng is None:
             raise InvalidInput("sampled verification needs an rng")
         subsets = (tuple(sorted(rng.sample(b1, ell))) for _ in range(SAMPLE_COUNT))
+    rows = K.adjacency
     for U in subsets:
-        if augment_all(K.adjacency, free, b0 | mask_of(U), dict(base)):
+        u = mask_of(U)
+        if augment_all(rows, free, u & ~b0, {}) and augment_all(rows, free, b0 | u, dict(base)):
             return False, U
     return True, None
 

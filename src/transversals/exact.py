@@ -581,23 +581,30 @@ def _pattern_schedule(F: Hypergraph) -> tuple[list[int], Schedule]:
     """The position of each pattern vertex in the static branch order, and
     the completion schedule of F's edges over those positions.  The order
     puts highest-degree pattern vertices first, then follows a
-    connectivity-greedy sweep so edges complete early."""
-    deg = {v: 0 for v in range(F.n)}
+    connectivity-greedy sweep so edges complete early: each step places the
+    vertex that the most edges attach to (edges whose other vertices are
+    all placed), ties to the higher degree, then the lower vertex."""
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(F.n)]
     for e in F.edges:
         for v in e:
-            deg[v] += 1
+            through[v].append(e)
+    deg = [len(es) for es in through]
+    unplaced = dict.fromkeys(F.edges, F.k)  # per edge, its vertices not yet placed
+    # per vertex, the edges whose only unplaced vertex it is; for k = 1 that
+    # is its degree, which orders the vertices as these zeros and deg do
+    attached = [0] * F.n
     remaining = set(range(F.n))
     order: list[int] = []
-    placed: set[int] = set()
     while remaining:
-        scored = []
-        for v in remaining:
-            attached = sum(1 for e in F.edges if v in e and all(u in placed or u == v for u in e))
-            scored.append((-attached, -deg[v], v))
-        _, _, best = min(scored)
+        _, _, best = min((-attached[v], -deg[v], v) for v in remaining)
         order.append(best)
-        placed.add(best)
         remaining.remove(best)
+        for e in through[best]:
+            unplaced[e] -= 1
+            if unplaced[e] == 1:  # the edge now attaches to its last vertex
+                for u in e:
+                    if u in remaining:
+                        attached[u] += 1
     rank = [0] * F.n
     for i, v in enumerate(order):
         rank[v] = i

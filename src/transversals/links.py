@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DivisibilityError, InvalidInput, StartEndMismatch, TooShort
-from .hypergraph import Hypergraph, complete_graph, induced, ordered_isomorphic
+from .hypergraph import Hypergraph, _all_ints, complete_graph, induced, ordered_isomorphic
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,10 @@ class Link:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Link":
-        return cls(Hypergraph.from_json(obj["body"]), int(obj["ell"]))
+        ell = obj["ell"]
+        if not _all_ints((ell,)):
+            raise InvalidInput(f"ell must be an integer, got {ell!r}")
+        return cls(Hypergraph.from_json(obj["body"]), ell)
 
 
 def make_link(body: Hypergraph, ell: int) -> Link:

@@ -6,6 +6,9 @@ batch matcher: every caller that matches a whole row list at once, or
 completes a warm-started matching, goes through it.  The incremental variant
 tries a free right before any augmenting path and keeps each push's path so
 the backtracking solvers can retract left vertices in LIFO order.
+
+No call leaves a reference cycle behind: reference counting frees all that
+a call builds, however often the search loops call the matchers.
 """
 
 from __future__ import annotations
@@ -41,10 +44,15 @@ def augment_all(
         return False
 
     unmatched = []
-    for u in lefts:
-        unseen = allowed
-        if not augment(u):
-            unmatched.append(u)
+    try:
+        for u in lefts:
+            unseen = allowed
+            if not augment(u):
+                unmatched.append(u)
+    finally:
+        # augment reaches itself through its closure; breaking that cycle
+        # lets reference counting free it, so no call leaves garbage
+        augment = None
     return unmatched
 
 
@@ -132,7 +140,10 @@ class IncrementalMatching:
                 todo &= ~seen
             return None
 
-        path = visit(mask)
+        try:
+            path = visit(mask)
+        finally:
+            visit = None  # the same cycle as augment_all's
         if path is not None:
             path.reverse()
         return path

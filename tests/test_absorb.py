@@ -74,7 +74,7 @@ def reference_absorber_holds(K, absorber, rng, cutoff):
     list-based reference matcher."""
 
     def matchable(rights):
-        allowed = sum(1 << b for b in rights)
+        allowed = mask_of(rights)
         return not reference_augment(K.adjacency, range(K.m_A), allowed, {})
 
     b1, ell = list(absorber.B1), absorber.ell
@@ -116,6 +116,39 @@ def test_absorber_holds_matches_from_scratch_reference(cutoff, case, seed):
         got = absorber_holds(K, ab, rng)
     assert got == reference_absorber_holds(K, ab, ref_rng, cutoff)
     assert rng.getstate() == ref_rng.getstate()
+
+
+@st.composite
+def availability_and_overlapping_absorber(draw):
+    """A case of `availability_and_absorber` with some of B0 added to B1."""
+    K, ab = draw(availability_and_absorber().filter(lambda case: case[1].B0))
+    shared = draw(st.sets(st.sampled_from(ab.B0), min_size=1))
+    return K, MatchingAbsorber(ab.B0, tuple(sorted(shared.union(ab.B1))), ab.ell)
+
+
+@pytest.mark.parametrize("cutoff", [EXHAUSTIVE_CUTOFF, 0])
+@settings(max_examples=150, deadline=None)
+@given(case=availability_and_overlapping_absorber(), seed=st.integers(0, 2**32))
+def test_absorber_holds_with_b1_overlapping_b0(cutoff, case, seed):
+    """B1 may share rights with B0.  A free left item may then not take a
+    right of U that the base matching already holds, so a U inside B0 adds
+    nothing to it."""
+    K, ab = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(absorb, "EXHAUSTIVE_CUTOFF", cutoff)
+        got = absorber_holds(K, ab, rng)
+    assert got == reference_absorber_holds(K, ab, ref_rng, cutoff)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_absorber_holds_fails_a_subset_inside_b0():
+    # left 0 holds right 0 in B0, and left 1 reaches only rights 0 and 1:
+    # U = (0,) and U = (2,) leave left 1 unmatched, U = (1,) matches it
+    K = BipartiteAvailability(2, 3, (0b1, 0b11))
+    assert absorber_holds(K, MatchingAbsorber(B0=(0,), B1=(0, 1), ell=1)) == (False, (0,))
+    assert absorber_holds(K, MatchingAbsorber(B0=(0,), B1=(1, 2), ell=1)) == (False, (2,))
+    assert absorber_holds(K, MatchingAbsorber(B0=(0,), B1=(1,), ell=1)) == (True, None)
 
 
 def sparse_availability(sparse, seed):

@@ -30,11 +30,19 @@ from transversals.exact import (
 )
 from transversals.gen import GenSpec, dirac_extremal, generate
 from transversals.hypergraph import Hypergraph, complete_graph
-from transversals.links import cycle_counts, cycle_on, pillar_link, single_edge_link, triangle_link
+from transversals.links import (
+    build_chain_template,
+    builtin_link,
+    cycle_counts,
+    cycle_on,
+    pillar_link,
+    single_edge_link,
+    triangle_link,
+)
 from transversals.matching import IncrementalMatching, maximum_bipartite_matching
 from transversals.rng import rng_for
 
-from testlib import cycle_graph
+from testlib import cycle_graph, reference_pattern_schedule
 
 LINK21 = single_edge_link(2, 1)
 
@@ -346,6 +354,26 @@ def test_subgraph_search_agrees_with_unfiltered_reference(seed, n, pattern_n, p,
         phi = maximum_bipartite_matching([C.colour_masks[e] for e in edge_stack])
         target = Hypergraph(n, 2, frozenset(edge_stack))
         assert res.certificate == TransversalCertificate.from_mapping(target, dict(zip(edge_stack, phi)))
+
+
+def test_pattern_schedule_matches_reference():
+    """The schedule's counts, kept as vertices are placed, give the order and
+    schedule of rescanning every edge at every step: on seeded random
+    patterns (k = 1, 2, 3, isolated vertices included) and on every builtin
+    link's chains."""
+    patterns = []
+    for seed in range(90):
+        rng = random.Random(seed)
+        k = 1 + seed % 3
+        n = rng.randint(k, 12)
+        p = rng.choice([0.1, 0.3, 0.6])
+        edges = frozenset(e for e in itertools.combinations(range(n), k) if rng.random() < p)
+        patterns.append(Hypergraph(n, k, edges))
+    for name in ["edge(2,1)", "edge(3,1)", "edge(3,2)", "edge(4,2)", "triangle", "pillar", "clique(4)", "clique(5)"]:
+        link = builtin_link(name)
+        patterns.extend(build_chain_template(link, t) for t in range(1, 21))
+    for F in patterns:
+        assert _pattern_schedule(F) == reference_pattern_schedule(F)
 
 
 def brute_twin_classes(F):

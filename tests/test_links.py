@@ -182,3 +182,12 @@ def test_link_json_round_trip():
     from transversals.links import Link
 
     assert Link.from_json(link.to_json()).body.edges == link.body.edges
+
+
+@pytest.mark.parametrize("ell", [1.9, 1.0, "1", True])
+def test_link_from_json_accepts_only_an_integer_ell(ell):
+    # int() would read each of these as ell = 1, a different valid link
+    body = single_edge_link(2, 1).body.to_json()
+    assert Link.from_json({"ell": 1, "body": body}) == single_edge_link(2, 1)
+    with pytest.raises(InvalidInput, match="ell must be an integer"):
+        Link.from_json({"ell": ell, "body": body})

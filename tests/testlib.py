@@ -7,6 +7,7 @@ from typing import Iterable, Optional
 
 from transversals.absorb import ColourAbsorber
 from transversals.errors import InvalidInput
+from transversals.exact import _completion_schedule
 from transversals.hypergraph import Hypergraph, induced
 from transversals.links import ChainLayout, Link, chain_windows
 
@@ -80,3 +81,28 @@ def host_copy(ab: ColourAbsorber, n: int) -> Hypergraph:
     """The absorber's copy of its template, on host vertices 0..n-1."""
     edges = {tuple(sorted(ab.S[v] for v in e)) for e in ab.template.edges}
     return Hypergraph(n, ab.template.k, frozenset(edges))
+
+
+def reference_pattern_schedule(F: Hypergraph) -> tuple[list[int], list[list]]:
+    """`exact._pattern_schedule` by its definition: every step rescans every
+    edge for every remaining vertex to count the edges attached to it."""
+    deg = {v: 0 for v in range(F.n)}
+    for e in F.edges:
+        for v in e:
+            deg[v] += 1
+    remaining = set(range(F.n))
+    order: list[int] = []
+    placed: set[int] = set()
+    while remaining:
+        scored = []
+        for v in remaining:
+            attached = sum(1 for e in F.edges if v in e and all(u in placed or u == v for u in e))
+            scored.append((-attached, -deg[v], v))
+        _, _, best = min(scored)
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    rank = [0] * F.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    return rank, _completion_schedule((tuple(rank[v] for v in e) for e in F.edges), F.n, F.k)
