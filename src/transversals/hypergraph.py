@@ -9,6 +9,7 @@ edge-set equality of index patterns.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,9 +76,6 @@ class Hypergraph:
             adj[v] |= bit[u]
         return tuple(adj)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -138,16 +136,9 @@ def min_degree_d(H: Hypergraph, d: int) -> int:
     for e in H.edges:
         for s in itertools.combinations(e, d):
             counts[s] = counts.get(s, 0) + 1
-    if len(counts) < _ncombs(H.n, d):
+    if len(counts) < math.comb(H.n, d):
         return 0  # some d-set touches no edge
     return min(counts.values())
-
-
-def _ncombs(n: int, d: int) -> int:
-    out = 1
-    for i in range(d):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def induced(H: Hypergraph, U: Iterable[int]) -> Hypergraph:
