@@ -141,7 +141,7 @@ def _scan_trial(payload) -> tuple[str, float]:
         status = result.status
     else:
         run = solve_transversal_hamilton(C, link, cfg=PipelineConfig(seed=trial_seed))
-        status = FOUND if run else EXHAUSTED
+        status = FOUND if run else "failure"  # a heuristic miss, not a budget-out
     return status, time.monotonic() - started
 
 
@@ -167,7 +167,7 @@ def cmd_scan(args) -> int:
     fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
         writer = csv.DictWriter(
-            fh, fieldnames=["delta", "trials", "successes", "nones", "exhausted", "mean_time"]
+            fh, fieldnames=["delta", "trials", "successes", "nones", "exhausted", "failures", "mean_time"]
         )
         writer.writeheader()
         for di, delta in enumerate(deltas):
@@ -199,6 +199,7 @@ def cmd_scan(args) -> int:
                     "successes": statuses.count(FOUND),
                     "nones": statuses.count(NONE),
                     "exhausted": statuses.count(EXHAUSTED),
+                    "failures": statuses.count("failure"),
                     "mean_time": round(sum(times) / len(times), 4) if times else 0.0,
                 }
             )

@@ -175,6 +175,16 @@ def test_scan_writes_csv(tmp_path):
         assert parts == int(r["trials"]) == 5
 
 
+def test_scan_counts_pipeline_misses_as_failures(tmp_path):
+    out = tmp_path / "scan.csv"
+    rc = main(["scan", "--n", "12", "--delta-from", "0.2", "--delta-to", "0.2",
+               "--trials", "3", "--engine", "pipeline", "--seed", "1",
+               "--out", str(out)])
+    assert rc == EXIT_SUCCESS
+    [row] = read_scan(out)
+    assert int(row["failures"]) >= 1 and row["exhausted"] == "0"
+
+
 def test_scan_zero_trials_header_only(tmp_path):
     out = tmp_path / "scan.csv"
     rc = main(["scan", "--n", "8", "--delta-from", "0.4", "--delta-to", "0.4",
