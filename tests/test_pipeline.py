@@ -141,9 +141,6 @@ def test_step_2_reports_exhausted_path_budget(monkeypatch):
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_pipeline_solves_complete_members(n):
-    # step 2 (n = 20) and step 5 (n = 40) split off a one-vertex part, which
-    # no audit passes (a vertex has no neighbour in its own singleton), so
-    # they need the unaudited fallback
     C = Collection(n, 2, tuple(complete_graph(n) for _ in range(n)))
     run = solve_transversal_hamilton(C, LINK21, cfg=PipelineConfig(seed=0, retries=3))
     assert run.outcome == "success"
