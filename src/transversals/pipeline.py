@@ -353,7 +353,8 @@ class _Attempt:
         if cert_s1 is None:
             _fail("colour absorber failed on the realised leftover", B=len(B))
         mapping.update(cert_s1.mapping())
-        self.cert = cert = TransversalCertificate.from_mapping(Hypergraph(n, 2, frozenset(cycle_edges)), mapping)
+        target = Hypergraph(n, 2, frozenset(cycle_edges))
+        self.cert = cert = TransversalCertificate.from_mapping(target, mapping)
         check = verify_certificate(C, cert, self.link, n)
         if not check.ok:
             _fail(f"certificate failed verification: {check.reason}", detail=str(check.detail))
